@@ -11,7 +11,7 @@
 //! of headers, 1 MiB of body) since request bodies are small control
 //! messages — responses are the large direction.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 
 /// Maximum accepted size of the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -481,87 +481,6 @@ pub fn reason(status: u16) -> &'static str {
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
-    }
-}
-
-/// A `TcpStream` reader enforcing a **cumulative** deadline on each
-/// request read, closing the slow-loris window.
-///
-/// A bare `set_read_timeout` restarts its clock on every `read()`, so a
-/// client dribbling one header byte per timeout window can pin a worker
-/// forever. This wrapper keeps two budgets instead:
-///
-/// * **idle** — how long a keep-alive connection may sit silent before
-///   the next request's first byte (the old `read_timeout` semantics);
-/// * **head** — once the first byte of a request arrives, a deadline is
-///   armed and every subsequent read's OS timeout is set to the
-///   *remaining* budget, so the whole request (head + body) must finish
-///   inside it no matter how slowly bytes trickle.
-///
-/// [`TimedReader::reset`] re-enters idle mode after a request is fully
-/// parsed. Expiry surfaces as `ErrorKind::TimedOut`, which the
-/// connection loop treats as a quiet close.
-pub struct TimedReader {
-    stream: std::net::TcpStream,
-    idle: std::time::Duration,
-    head: std::time::Duration,
-    deadline: Option<std::time::Instant>,
-}
-
-impl TimedReader {
-    /// Wraps `stream` with the given idle timeout and per-request
-    /// cumulative head budget.
-    pub fn new(
-        stream: std::net::TcpStream,
-        idle: std::time::Duration,
-        head: std::time::Duration,
-    ) -> Self {
-        Self {
-            stream,
-            idle,
-            head,
-            deadline: None,
-        }
-    }
-
-    /// Marks the current request fully read: the next read waits under
-    /// the idle timeout again and the first byte arms a fresh deadline.
-    pub fn reset(&mut self) {
-        self.deadline = None;
-    }
-
-    /// Whether a request head is partially read (its deadline is armed)
-    /// — distinguishes a slow-loris close from an idle keep-alive
-    /// timeout when a read fails.
-    pub fn mid_head(&self) -> bool {
-        self.deadline.is_some()
-    }
-}
-
-impl Read for TimedReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if hyperline_util::failpoint::check("socket.read").is_some() {
-            return Err(hyperline_util::failpoint::io_error("socket.read"));
-        }
-        let timeout = match self.deadline {
-            None => self.idle,
-            Some(d) => {
-                let remaining = d.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "request head deadline exceeded",
-                    ));
-                }
-                remaining
-            }
-        };
-        self.stream.set_read_timeout(Some(timeout))?;
-        let n = self.stream.read(buf)?;
-        if n > 0 && self.deadline.is_none() {
-            self.deadline = Some(std::time::Instant::now() + self.head);
-        }
-        Ok(n)
     }
 }
 

@@ -678,9 +678,8 @@ fn classify_write_error(
         ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
             state.metrics.client_aborts.fetch_add(1, Ordering::Relaxed);
         }
-        // `TimedOut` is the hand-off buffer's stall verdict;
-        // `WouldBlock` kept for parity with the old `SO_SNDTIMEO` path.
-        ErrorKind::TimedOut | ErrorKind::WouldBlock => {
+        // The hand-off buffer's stall verdict.
+        ErrorKind::TimedOut => {
             state.metrics.write_stalls.fetch_add(1, Ordering::Relaxed);
         }
         _ => {}
@@ -2306,16 +2305,14 @@ fn answer_sub_query(
 
 /// Builds the artifact for `key` (runs outside the cache lock; the
 /// single-flight layer guarantees one concurrent builder per key).
+///
+/// Weighted triples are stored exactly as [`algo2_slinegraph_weighted`]
+/// returns them: `i < j` and strictly ascending, the order of the
+/// unweighted edge list, so they need no re-normalization or re-sort.
 fn compute_artifact(h: &Hypergraph, key: &CacheKey) -> Result<(Artifact, usize), String> {
     let strategy = Strategy::default();
     let (edges, weighted_edges) = if key.weighted {
-        let (mut triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
-        for t in triples.iter_mut() {
-            if t.0 > t.1 {
-                *t = (t.1, t.0, t.2);
-            }
-        }
-        triples.sort_unstable();
+        let (triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
         let edges = triples.iter().map(|&(i, j, _)| (i, j)).collect();
         (edges, Some(triples))
     } else {
@@ -2428,6 +2425,31 @@ mod tests {
             body.contains("\"edges\":[[0,1,2],[0,2,3],[1,2,3]]"),
             "{body}"
         );
+    }
+
+    #[test]
+    fn weighted_artifact_matches_unweighted_edge_order() {
+        // The weighted artifact stores the kernel's triples as returned;
+        // their pairs must be the unweighted artifact's sorted edge list.
+        let lists: Vec<Vec<u32>> = (0..60u32)
+            .map(|e| (0..6).map(|k| (e * 7 + k * k * 3) % 40).collect())
+            .collect();
+        let h = Hypergraph::from_edge_lists(&lists, 40);
+        let key = |weighted| CacheKey {
+            dataset: "lists".to_string(),
+            s: 2,
+            algorithm: AlgoKind::Algo2,
+            weighted,
+        };
+        let (weighted, _) = compute_artifact(&h, &key(true)).unwrap();
+        let (plain, _) = compute_artifact(&h, &key(false)).unwrap();
+        let triples = weighted.weighted_edges.unwrap();
+        assert!(!triples.is_empty());
+        let pairs: Vec<(u32, u32)> = triples.iter().map(|&(i, j, _)| (i, j)).collect();
+        assert!(pairs.iter().all(|&(i, j)| i < j));
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(pairs, algo2_slinegraph(&h, 2, &Strategy::default()).edges);
+        assert_eq!(weighted.slg.edges, plain.slg.edges);
     }
 
     #[test]

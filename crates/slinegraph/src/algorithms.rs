@@ -16,8 +16,15 @@
 //! Every variant traverses each wedge `(e_i, v_k, e_j)` once, from the
 //! smaller edge ID to the larger (`i < j`) — the upper-triangle
 //! optimization the relabel-by-degree orders interact with (§IV).
+//!
+//! Algorithm 2, its weighted variant and Algorithm 3
+//! ([`crate::ensemble`]) share one wedge-counting kernel,
+//! `count_overlaps`; they differ only in what each drained
+//! `(i, j, count)` emits.
 
-use crate::counter::{AnyCounter, OverlapCounter};
+use crate::counter::{
+    CounterKind, DenseArrayCounter, DynamicMapCounter, OverlapCounter, ReusedMapCounter,
+};
 use crate::partition::execute;
 use crate::stats::{AlgoStats, WorkerStats};
 use crate::strategy::{Strategy, TriangleSide};
@@ -32,17 +39,17 @@ use hyperline_util::Timer;
 /// Upper, `j < i` for Lower). Neighbor lists are sorted, so both are
 /// contiguous slices.
 #[inline]
-pub(crate) fn wedge_targets(nbrs: &[u32], i: u32, side: TriangleSide) -> &[u32] {
+fn wedge_targets(nbrs: &[u32], i: u32, side: TriangleSide) -> &[u32] {
     match side {
         TriangleSide::Upper => &nbrs[nbrs.partition_point(|&j| j <= i)..],
         TriangleSide::Lower => &nbrs[..nbrs.partition_point(|&j| j < i)],
     }
 }
 
-/// Normalizes freshly-drained pairs to `(min, max)` order (needed when
+/// Normalizes freshly-emitted pairs to `(min, max)` order (needed when
 /// traversing the lower triangle, where targets satisfy `j < i`).
 #[inline]
-pub(crate) fn normalize_pairs(pairs: &mut [(u32, u32)]) {
+fn normalize_pairs(pairs: &mut [(u32, u32)]) {
     for p in pairs {
         if p.0 > p.1 {
             *p = (p.1, p.0);
@@ -59,7 +66,7 @@ pub struct OverlapResult {
     pub stats: AlgoStats,
 }
 
-/// Merges per-worker emissions into the final sorted edge list.
+/// Merges per-worker emissions into the final sorted list.
 ///
 /// Under the static partitions each worker's output is a near-sorted run
 /// (sources ascend within a worker), so each run sorts cheaply — in
@@ -67,7 +74,9 @@ pub struct OverlapResult {
 /// single-core `sort_unstable` over the concatenation. The result is the
 /// sorted multiset of all emissions, so it is byte-identical for every
 /// worker count and partition.
-fn merge_worker_outputs(locals: Vec<(Vec<(u32, u32)>, WorkerStats)>) -> OverlapResult {
+fn merge_worker_outputs<T: Ord + Clone + Send + Sync>(
+    locals: Vec<(Vec<T>, WorkerStats)>,
+) -> (Vec<T>, AlgoStats) {
     let _span = Span::enter("merge");
     let timer = Timer::start();
     let mut runs = Vec::with_capacity(locals.len());
@@ -79,10 +88,10 @@ fn merge_worker_outputs(locals: Vec<(Vec<(u32, u32)>, WorkerStats)>) -> OverlapR
     }
     par_for_each_mut(&mut runs, |r| r.sort_unstable());
     let edges = merge_sorted_runs(runs);
-    OverlapResult {
+    (
         edges,
-        stats: AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
-    }
+        AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
+    )
 }
 
 /// Naive all-pairs construction: intersect every pair of hyperedge vertex
@@ -112,7 +121,8 @@ pub fn naive_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
         },
     );
     drop(counting);
-    merge_worker_outputs(locals)
+    let (edges, stats) = merge_worker_outputs(locals);
+    OverlapResult { edges, stats }
 }
 
 /// Algorithm 1 (the HiPC'21 set-intersection algorithm): for each wedge
@@ -195,7 +205,85 @@ pub fn algo1_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
         },
     );
     drop(counting);
-    merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect())
+    let (edges, stats) =
+        merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect());
+    OverlapResult { edges, stats }
+}
+
+/// The one wedge-counting kernel, behind Algorithm 2, its weighted
+/// variant and Algorithm 3. Per source edge `e_i` not pruned by
+/// `s_prune`, bumps a per-worker counter once per wedge on the
+/// strategy's triangle side, then drains it through
+/// `emit(min(i, j), max(i, j), count)` and presorts the items kept.
+/// The counter kind is matched once per call, so each arm runs a loop
+/// monomorphized over its counter. Returns each worker's emissions and
+/// work counters.
+pub(crate) fn count_overlaps<T, E>(
+    h: &Hypergraph,
+    s_prune: u32,
+    strategy: &Strategy,
+    emit: E,
+) -> Vec<(Vec<T>, WorkerStats)>
+where
+    T: Ord + Send,
+    E: Fn(u32, u32, u32) -> Option<T> + Sync,
+{
+    let m = h.num_edges();
+    match strategy.counter {
+        CounterKind::DynamicMap => count_with(h, s_prune, strategy, DynamicMapCounter::new, emit),
+        CounterKind::ReusedMap => count_with(h, s_prune, strategy, ReusedMapCounter::new, emit),
+        CounterKind::DenseArray => {
+            count_with(h, s_prune, strategy, || DenseArrayCounter::new(m), emit)
+        }
+    }
+}
+
+/// [`count_overlaps`] for one counter type.
+fn count_with<C, T, E>(
+    h: &Hypergraph,
+    s_prune: u32,
+    strategy: &Strategy,
+    new_counter: impl Fn() -> C + Sync,
+    emit: E,
+) -> Vec<(Vec<T>, WorkerStats)>
+where
+    C: OverlapCounter + Send,
+    T: Ord + Send,
+    E: Fn(u32, u32, u32) -> Option<T> + Sync,
+{
+    let locals = execute(
+        h.num_edges(),
+        strategy.workers(),
+        strategy.partition,
+        |_| (Vec::new(), WorkerStats::default(), new_counter()),
+        |i, (out, stats, counter): &mut (Vec<T>, WorkerStats, C)| {
+            if strategy.degree_pruning && (h.edge_size(i) as u32) < s_prune {
+                return;
+            }
+            stats.edges_processed += 1;
+            for &v in h.edge_vertices(i) {
+                for &j in wedge_targets(h.vertex_edges(v), i, strategy.triangle) {
+                    counter.bump(j);
+                    stats.wedge_visits += 1;
+                }
+            }
+            let before = out.len();
+            counter.drain(|j, n| {
+                if let Some(item) = emit(i.min(j), i.max(j), n) {
+                    out.push(item);
+                }
+            });
+            // Presort per source: drain order is arbitrary, but sorted
+            // small groups make each worker's run globally sorted under
+            // the upper triangle. O(Σ k·log k) here beats O(E·log E) in
+            // the merge — and runs inside the parallel counting stage.
+            out[before..].sort_unstable();
+        },
+    );
+    locals
+        .into_iter()
+        .map(|(out, stats, _)| (out, stats))
+        .collect()
 }
 
 /// Algorithm 2 (the paper's contribution): per source edge, bump a
@@ -203,112 +291,31 @@ pub fn algo1_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
 /// pairs whose running count reached `s`. No set intersections at all.
 pub fn algo2_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapResult {
     assert!(s >= 1, "s must be at least 1");
-    let m = h.num_edges();
-    struct Local {
-        out: Vec<(u32, u32)>,
-        stats: WorkerStats,
-        counter: AnyCounter,
-    }
     let counting = Span::enter("counting");
-    let locals = execute(
-        m,
-        strategy.workers(),
-        strategy.partition,
-        |_| Local {
-            out: Vec::new(),
-            stats: WorkerStats::default(),
-            counter: AnyCounter::new(strategy.counter, m),
-        },
-        |i, local: &mut Local| {
-            if strategy.degree_pruning && (h.edge_size(i) as u32) < s {
-                return;
-            }
-            local.stats.edges_processed += 1;
-            for &v in h.edge_vertices(i) {
-                for &j in wedge_targets(h.vertex_edges(v), i, strategy.triangle) {
-                    local.counter.bump(j);
-                    local.stats.wedge_visits += 1;
-                }
-            }
-            let before = local.out.len();
-            local.counter.drain(i, s, &mut local.out);
-            normalize_pairs(&mut local.out[before..]);
-            // Presort per source (see algo1): counter drain order is
-            // arbitrary, but sorted small groups make each worker's run
-            // globally sorted under the upper triangle, collapsing the
-            // merge tail. O(Σ k·log k) here beats O(E·log E) there —
-            // and runs inside the parallel counting stage.
-            local.out[before..].sort_unstable();
-        },
-    );
+    let locals = count_overlaps(h, s, strategy, |i, j, n| (n >= s).then_some((i, j)));
     drop(counting);
-    merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect())
+    let (edges, stats) = merge_worker_outputs(locals);
+    OverlapResult { edges, stats }
 }
 
 /// Weighted variant of Algorithm 2: emits `(i, j, inc(e_i, e_j))`, the
 /// overlap size as the s-line-graph edge weight (the "strength of
 /// connection" drawn as line width in the paper's Figure 2).
+///
+/// The triples come back with `i < j` on either triangle side and in
+/// strictly ascending order (each pair appears once), exactly like
+/// [`algo2_slinegraph`]'s pairs; callers need no re-normalization or
+/// re-sort.
 pub fn algo2_slinegraph_weighted(
     h: &Hypergraph,
     s: u32,
     strategy: &Strategy,
 ) -> (Vec<(u32, u32, u32)>, AlgoStats) {
     assert!(s >= 1, "s must be at least 1");
-    let m = h.num_edges();
-    struct Local {
-        out: Vec<(u32, u32, u32)>,
-        stats: WorkerStats,
-        counter: AnyCounter,
-    }
     let counting = Span::enter("counting");
-    let locals = execute(
-        m,
-        strategy.workers(),
-        strategy.partition,
-        |_| Local {
-            out: Vec::new(),
-            stats: WorkerStats::default(),
-            counter: AnyCounter::new(strategy.counter, m),
-        },
-        |i, local: &mut Local| {
-            if strategy.degree_pruning && (h.edge_size(i) as u32) < s {
-                return;
-            }
-            local.stats.edges_processed += 1;
-            for &v in h.edge_vertices(i) {
-                for &j in wedge_targets(h.vertex_edges(v), i, strategy.triangle) {
-                    local.counter.bump(j);
-                    local.stats.wedge_visits += 1;
-                }
-            }
-            let before = local.out.len();
-            local.counter.drain_weighted(i, s, &mut local.out);
-            for p in &mut local.out[before..] {
-                if p.0 > p.1 {
-                    *p = (p.1, p.0, p.2);
-                }
-            }
-            local.out[before..].sort_unstable();
-        },
-    );
+    let locals = count_overlaps(h, s, strategy, |i, j, n| (n >= s).then_some((i, j, n)));
     drop(counting);
-    // Same sorted-runs merge as `merge_worker_outputs`, over weighted
-    // triples.
-    let _span = Span::enter("merge");
-    let timer = Timer::start();
-    let mut runs = Vec::with_capacity(locals.len());
-    let mut per_worker = Vec::with_capacity(locals.len());
-    for mut l in locals {
-        l.stats.edges_emitted = l.out.len() as u64;
-        runs.push(l.out);
-        per_worker.push(l.stats);
-    }
-    par_for_each_mut(&mut runs, |r| r.sort_unstable());
-    let edges = merge_sorted_runs(runs);
-    (
-        edges,
-        AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
-    )
+    merge_worker_outputs(locals)
 }
 
 #[cfg(test)]
@@ -390,12 +397,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partitions_and_counters_agree() {
-        let mut rng = StdRng::seed_from_u64(78);
-        let h = random_hypergraph(&mut rng);
-        let s = 2;
-        let reference = algo2_slinegraph(&h, s, &Strategy::default()).edges;
+    /// Brute-force weighted s-line graph: `(i, j, inc)` for every pair
+    /// `i < j` sharing at least `s` vertices, in ascending order.
+    fn brute_force_weighted(h: &Hypergraph, s: u32) -> Vec<(u32, u32, u32)> {
+        let m = h.num_edges() as u32;
+        (0..m)
+            .flat_map(|i| ((i + 1)..m).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let n = intersection_size(h.edge_vertices(i), h.edge_vertices(j)) as u32;
+                (i, j, n)
+            })
+            .filter(|&(_, _, n)| n >= s)
+            .collect()
+    }
+
+    /// Every partition × counter × worker count {1, 2, 7} × triangle
+    /// side × degree-pruning toggle.
+    fn sweep_strategies() -> Vec<Strategy> {
+        use crate::strategy::TriangleSide;
+        let mut out = Vec::new();
         for partition in [
             Partition::Blocked,
             Partition::Cyclic,
@@ -403,15 +423,64 @@ mod tests {
         ] {
             for counter in CounterKind::ALL {
                 for workers in [1usize, 2, 7] {
-                    let st = Strategy::default()
-                        .with_partition(partition)
-                        .with_counter(counter)
-                        .with_workers(workers);
+                    for side in [TriangleSide::Upper, TriangleSide::Lower] {
+                        for pruning in [true, false] {
+                            out.push(
+                                Strategy::default()
+                                    .with_partition(partition)
+                                    .with_counter(counter)
+                                    .with_workers(workers)
+                                    .with_triangle(side)
+                                    .with_pruning(pruning),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Every counter through every emit policy of the counting kernel
+    /// (Algorithm 2 pairs, weighted triples, Algorithm 3's raw counts)
+    /// under every sweep strategy, against a brute-force oracle —
+    /// including an `s` above every overlap. The oracle lists `i < j` in
+    /// strictly ascending order, which pins that contract of
+    /// `algo2_slinegraph_weighted` on both triangle sides.
+    #[test]
+    fn partitions_and_counters_agree() {
+        use crate::ensemble::ensemble_slinegraphs;
+        let mut rng = StdRng::seed_from_u64(78);
+        for _ in 0..4 {
+            let h = random_hypergraph(&mut rng);
+            // One s above every overlap: without degree pruning, sources
+            // still count and every drain emits nothing.
+            let s_high = brute_force_weighted(&h, 1)
+                .iter()
+                .map(|&(_, _, n)| n + 1)
+                .max()
+                .unwrap_or(1);
+            let s_values = [1, 2, 3, s_high];
+            let expected: Vec<_> = s_values
+                .iter()
+                .map(|&s| brute_force_weighted(&h, s))
+                .collect();
+            assert!(expected[3].is_empty());
+            for st in sweep_strategies() {
+                let ensemble = ensemble_slinegraphs(&h, &s_values, &st);
+                for (k, &s) in s_values.iter().enumerate() {
+                    let pairs: Vec<_> = expected[k].iter().map(|&(i, j, _)| (i, j)).collect();
                     assert_eq!(
                         algo2_slinegraph(&h, s, &st).edges,
-                        reference,
-                        "{partition:?} {counter:?} w={workers}"
+                        pairs,
+                        "algo2 s={s} {st:?}"
                     );
+                    assert_eq!(
+                        algo2_slinegraph_weighted(&h, s, &st).0,
+                        expected[k],
+                        "weighted s={s} {st:?}"
+                    );
+                    assert_eq!(ensemble.per_s[k], (s, pairs), "ensemble s={s} {st:?}");
                 }
             }
         }

@@ -8,28 +8,26 @@
 //! thread-local* storage (reset between iterations; wins on dense-overlap
 //! inputs like Web). Both appear here, plus a dense-array counter with a
 //! touched list, so the choice is measurable (`benches/counter_ablation`).
+//!
+//! A counter only bumps and drains. The one wedge-counting kernel in
+//! [`crate::algorithms`] picks the implementation from [`CounterKind`]
+//! once per call, and each caller's emit policy decides what a drained
+//! `(j, count)` becomes: a pair, a weighted triple or a raw count.
 
 use hyperline_util::fxhash::FxHashMap;
 
 /// Accumulates counts for one source edge at a time.
 ///
 /// Usage per source edge `i`: any number of [`OverlapCounter::bump`]
-/// calls, then one [`OverlapCounter::drain`], which emits the pairs with
-/// count ≥ `s` and resets the counter for the next source edge.
+/// calls, then one [`OverlapCounter::drain`], which visits every counted
+/// neighbor and resets the counter for the next source edge.
 pub trait OverlapCounter {
     /// Increments the overlap count of 2-hop neighbor `j`.
     fn bump(&mut self, j: u32);
 
-    /// Emits `(i, j)` for every `j` with count ≥ `s`, then resets.
-    fn drain(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32)>);
-
-    /// Like [`OverlapCounter::drain`] but also reports the count (the
-    /// s-line-graph edge weight, `inc(e_i, e_j)`).
-    fn drain_weighted(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32, u32)>);
-
-    /// Visits all `(j, count)` pairs, then resets (ensemble Algorithm 3
-    /// stores the raw counts rather than filtering).
-    fn drain_counts(&mut self, out: &mut Vec<(u32, u32)>);
+    /// Calls `visit(j, count)` for every bumped `j`, in no particular
+    /// order, then resets.
+    fn drain(&mut self, visit: impl FnMut(u32, u32));
 }
 
 /// Which counter implementation an algorithm run uses.
@@ -84,28 +82,12 @@ impl OverlapCounter for DynamicMapCounter {
         *self.map.entry(j).or_insert(0) += 1;
     }
 
-    fn drain(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32)>) {
-        for (&j, &n) in &self.map {
-            if n >= s {
-                out.push((i, j));
-            }
+    fn drain(&mut self, mut visit: impl FnMut(u32, u32)) {
+        // Dynamic semantics: the map is taken and dropped, so the next
+        // source edge starts from a fresh allocation.
+        for (j, n) in std::mem::take(&mut self.map) {
+            visit(j, n);
         }
-        // Dynamic semantics: drop the allocation, start fresh.
-        self.map = FxHashMap::default();
-    }
-
-    fn drain_weighted(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32, u32)>) {
-        for (&j, &n) in &self.map {
-            if n >= s {
-                out.push((i, j, n));
-            }
-        }
-        self.map = FxHashMap::default();
-    }
-
-    fn drain_counts(&mut self, out: &mut Vec<(u32, u32)>) {
-        out.extend(self.map.iter().map(|(&j, &n)| (j, n)));
-        self.map = FxHashMap::default();
     }
 }
 
@@ -129,27 +111,11 @@ impl OverlapCounter for ReusedMapCounter {
         *self.map.entry(j).or_insert(0) += 1;
     }
 
-    fn drain(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32)>) {
-        for (&j, &n) in &self.map {
-            if n >= s {
-                out.push((i, j));
-            }
+    fn drain(&mut self, mut visit: impl FnMut(u32, u32)) {
+        // `drain` keeps the capacity for the next source edge.
+        for (j, n) in self.map.drain() {
+            visit(j, n);
         }
-        self.map.clear();
-    }
-
-    fn drain_weighted(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32, u32)>) {
-        for (&j, &n) in &self.map {
-            if n >= s {
-                out.push((i, j, n));
-            }
-        }
-        self.map.clear();
-    }
-
-    fn drain_counts(&mut self, out: &mut Vec<(u32, u32)>) {
-        out.extend(self.map.iter().map(|(&j, &n)| (j, n)));
-        self.map.clear();
     }
 }
 
@@ -180,90 +146,9 @@ impl OverlapCounter for DenseArrayCounter {
         *slot += 1;
     }
 
-    fn drain(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32)>) {
-        for &j in &self.touched {
-            if self.counts[j as usize] >= s {
-                out.push((i, j));
-            }
-            self.counts[j as usize] = 0;
-        }
-        self.touched.clear();
-    }
-
-    fn drain_weighted(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32, u32)>) {
-        for &j in &self.touched {
-            let n = self.counts[j as usize];
-            if n >= s {
-                out.push((i, j, n));
-            }
-            self.counts[j as usize] = 0;
-        }
-        self.touched.clear();
-    }
-
-    fn drain_counts(&mut self, out: &mut Vec<(u32, u32)>) {
-        for &j in &self.touched {
-            out.push((j, self.counts[j as usize]));
-            self.counts[j as usize] = 0;
-        }
-        self.touched.clear();
-    }
-}
-
-/// Runtime-dispatched counter for the strategy sweeps.
-#[derive(Debug)]
-pub enum AnyCounter {
-    /// See [`DynamicMapCounter`].
-    Dynamic(DynamicMapCounter),
-    /// See [`ReusedMapCounter`].
-    Reused(ReusedMapCounter),
-    /// See [`DenseArrayCounter`].
-    Dense(DenseArrayCounter),
-}
-
-impl AnyCounter {
-    /// Builds the counter selected by `kind` for a hypergraph with
-    /// `num_edges` hyperedges.
-    pub fn new(kind: CounterKind, num_edges: usize) -> Self {
-        match kind {
-            CounterKind::DynamicMap => AnyCounter::Dynamic(DynamicMapCounter::new()),
-            CounterKind::ReusedMap => AnyCounter::Reused(ReusedMapCounter::new()),
-            CounterKind::DenseArray => AnyCounter::Dense(DenseArrayCounter::new(num_edges)),
-        }
-    }
-}
-
-impl OverlapCounter for AnyCounter {
-    #[inline]
-    fn bump(&mut self, j: u32) {
-        match self {
-            AnyCounter::Dynamic(c) => c.bump(j),
-            AnyCounter::Reused(c) => c.bump(j),
-            AnyCounter::Dense(c) => c.bump(j),
-        }
-    }
-
-    fn drain(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32)>) {
-        match self {
-            AnyCounter::Dynamic(c) => c.drain(i, s, out),
-            AnyCounter::Reused(c) => c.drain(i, s, out),
-            AnyCounter::Dense(c) => c.drain(i, s, out),
-        }
-    }
-
-    fn drain_weighted(&mut self, i: u32, s: u32, out: &mut Vec<(u32, u32, u32)>) {
-        match self {
-            AnyCounter::Dynamic(c) => c.drain_weighted(i, s, out),
-            AnyCounter::Reused(c) => c.drain_weighted(i, s, out),
-            AnyCounter::Dense(c) => c.drain_weighted(i, s, out),
-        }
-    }
-
-    fn drain_counts(&mut self, out: &mut Vec<(u32, u32)>) {
-        match self {
-            AnyCounter::Dynamic(c) => c.drain_counts(out),
-            AnyCounter::Reused(c) => c.drain_counts(out),
-            AnyCounter::Dense(c) => c.drain_counts(out),
+    fn drain(&mut self, mut visit: impl FnMut(u32, u32)) {
+        for j in self.touched.drain(..) {
+            visit(j, std::mem::take(&mut self.counts[j as usize]));
         }
     }
 }
@@ -272,72 +157,43 @@ impl OverlapCounter for AnyCounter {
 mod tests {
     use super::*;
 
-    fn exercise(counter: &mut dyn OverlapCounter) {
+    /// Drains `counter` into a sorted `(j, count)` list.
+    fn drained<C: OverlapCounter>(counter: &mut C) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        counter.drain(|j, n| out.push((j, n)));
+        out.sort_unstable();
+        out
+    }
+
+    fn exercise<C: OverlapCounter>(mut counter: C) {
         // Source edge 7 sees: j=3 twice, j=5 once, j=9 three times.
         for j in [3u32, 5, 9, 3, 9, 9] {
             counter.bump(j);
         }
-        let mut out = Vec::new();
-        counter.drain(7, 2, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![(7, 3), (7, 9)]);
+        assert_eq!(drained(&mut counter), vec![(3, 2), (5, 1), (9, 3)]);
 
-        // Counter must be reset now.
-        counter.bump(3);
-        let mut out = Vec::new();
-        counter.drain(8, 1, &mut out);
-        assert_eq!(out, vec![(8, 3)]);
-
-        // Weighted drain.
-        for j in [4u32, 4, 4, 6] {
+        // The drain reset the counter: only the next source's bumps show,
+        // and an untouched counter drains nothing.
+        for j in [3u32, 0, 3] {
             counter.bump(j);
         }
-        let mut out = Vec::new();
-        counter.drain_weighted(1, 2, &mut out);
-        assert_eq!(out, vec![(1, 4, 3)]);
-
-        // Raw counts drain.
-        for j in [2u32, 2, 0] {
-            counter.bump(j);
-        }
-        let mut out = Vec::new();
-        counter.drain_counts(&mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![(0, 1), (2, 2)]);
+        assert_eq!(drained(&mut counter), vec![(0, 1), (3, 2)]);
+        assert_eq!(drained(&mut counter), vec![]);
     }
 
     #[test]
     fn dynamic_map_counter() {
-        exercise(&mut DynamicMapCounter::new());
+        exercise(DynamicMapCounter::new());
     }
 
     #[test]
     fn reused_map_counter() {
-        exercise(&mut ReusedMapCounter::new());
+        exercise(ReusedMapCounter::new());
     }
 
     #[test]
     fn dense_array_counter() {
-        exercise(&mut DenseArrayCounter::new(10));
-    }
-
-    #[test]
-    fn any_counter_all_kinds() {
-        for kind in CounterKind::ALL {
-            exercise(&mut AnyCounter::new(kind, 10));
-        }
-    }
-
-    #[test]
-    fn drain_with_high_s_emits_nothing() {
-        for kind in CounterKind::ALL {
-            let mut c = AnyCounter::new(kind, 4);
-            c.bump(1);
-            c.bump(1);
-            let mut out = Vec::new();
-            c.drain(0, 3, &mut out);
-            assert!(out.is_empty(), "{kind:?}");
-        }
+        exercise(DenseArrayCounter::new(10));
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! The cost is memory proportional to the number of 1-overlapping pairs —
 //! the paper reports this OOMs on large inputs, which is reproducible
 //! here by feeding it a large profile (see `ensemble` benches).
+//!
+//! The counting pass is Algorithm 2's wedge-counting kernel with an emit
+//! policy that keeps every `(i, j, count)` triple instead of filtering
+//! by `s`.
 
-use crate::counter::{AnyCounter, OverlapCounter};
-use crate::partition::execute;
-use crate::stats::{AlgoStats, WorkerStats};
+use crate::algorithms::count_overlaps;
+use crate::stats::AlgoStats;
 use crate::strategy::Strategy;
 use hyperline_hypergraph::Hypergraph;
 use hyperline_util::parallel::{par_filter_map, par_map_slice, par_sort_unstable};
@@ -43,68 +46,25 @@ pub fn ensemble_slinegraphs(
     assert!(!s_values.is_empty(), "need at least one s value");
     assert!(s_values.iter().all(|&s| s >= 1), "s must be at least 1");
     let s_min = *s_values.iter().min().unwrap();
-    let m = h.num_edges();
 
-    struct Local {
-        /// Flat `(i, j, count)` triples for pairs with count ≥ 1.
-        triples: Vec<(u32, u32, u32)>,
-        scratch: Vec<(u32, u32)>,
-        stats: WorkerStats,
-        counter: AnyCounter,
-    }
-
-    // Phase 1: counting (parallel over source edges).
-    let locals = execute(
-        m,
-        strategy.workers(),
-        strategy.partition,
-        |_| Local {
-            triples: Vec::new(),
-            scratch: Vec::new(),
-            stats: WorkerStats::default(),
-            counter: AnyCounter::new(strategy.counter, m),
-        },
-        |i, local: &mut Local| {
-            if strategy.degree_pruning && (h.edge_size(i) as u32) < s_min {
-                return;
-            }
-            local.stats.edges_processed += 1;
-            for &v in h.edge_vertices(i) {
-                for &j in crate::algorithms::wedge_targets(h.vertex_edges(v), i, strategy.triangle)
-                {
-                    local.counter.bump(j);
-                    local.stats.wedge_visits += 1;
-                }
-            }
-            local.scratch.clear();
-            local.counter.drain_counts(&mut local.scratch);
-            // Presort the source's group: sources ascend per worker, so
-            // under the upper triangle each worker's triples come out
-            // globally sorted and the phase-2 parallel sort reduces to
-            // its sortedness check.
-            local.scratch.sort_unstable();
-            for &(j, n) in local.scratch.iter() {
-                // Store normalized (min, max) regardless of triangle side.
-                local
-                    .triples
-                    .push(if i < j { (i, j, n) } else { (j, i, n) });
-            }
-        },
-    );
+    // Phase 1: counting (parallel over source edges). Every pair with a
+    // shared vertex is stored, normalized to `(min, max, count)`.
+    let locals = count_overlaps(h, s_min, strategy, |i, j, n| Some((i, j, n)));
 
     let mut triples: Vec<(u32, u32, u32)> = Vec::new();
     let mut per_worker = Vec::with_capacity(locals.len());
-    for mut l in locals {
-        triples.append(&mut l.triples);
-        per_worker.push(l.stats);
+    for (mut local, stats) in locals {
+        triples.append(&mut local);
+        per_worker.push(stats);
     }
     let stored_pairs = triples.len();
 
     // Phase 2: one parallel sort of the stored counts by (i, j) — each
     // pair is stored exactly once, so this is a full order — then per-s
-    // filtration. Filtering a sorted list preserves order, so the old
-    // per-s `sort_unstable` calls (a serial tail re-paid for every s)
-    // disappear entirely.
+    // filtration, which preserves the order. Appending rather than
+    // merging the worker runs keeps a single copy of the stored pairs;
+    // the kernel's presorted runs reduce the sort to its sortedness
+    // check under the upper triangle.
     par_sort_unstable(&mut triples);
     let per_s: Vec<(u32, Vec<(u32, u32)>)> = if s_values.len() == 1 {
         // A single-s call (the server's artifact-cache path) gets its

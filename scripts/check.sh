@@ -11,10 +11,13 @@
 #      RUSTFLAGS="--cfg hyperline_sched" into target/sched so the
 #      shim-world artifacts never collide with the std-world cache
 #   4. cargo clippy -D warnings
-#   5. cargo build --release
-#   6. cargo test -q, then the chaos suite by name (deadline/cancel,
+#   5. cargo check of hlbench/ (also --fast) — the repo benchmark is a
+#      separate Cargo workspace with path dependencies on crates/, so a
+#      public-API change it calls fails here, not first in a bench run
+#   6. cargo build --release
+#   7. cargo test -q, then the chaos suite by name (deadline/cancel,
 #      slow-client, fault-injection, and drain invariants — also --fast)
-#   7. the two smoke benchmarks (skipped with --fast) — server (cold vs
+#   8. the two smoke benchmarks (skipped with --fast) — server (cold vs
 #      warm cache latencies + server-side p50/p99 from the /metrics
 #      histograms + streamed edge-list wire bytes, identity vs gzip +
 #      concurrent-connection tiers against the evented core, reported
@@ -61,6 +64,9 @@ RUSTFLAGS="--cfg hyperline_sched" CARGO_TARGET_DIR=target/sched \
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo check hlbench/ (repo benchmark, its own workspace)"
+cargo check --offline --manifest-path hlbench/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release

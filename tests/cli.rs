@@ -13,8 +13,11 @@ fn temp_file(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn write_paper_example() -> PathBuf {
-    let path = temp_file("paper.hgr");
+/// Writes the paper's example hypergraph to `<name>.hgr`. Tests run in
+/// parallel, so each passes its own name: a shared file could be
+/// truncated by one test while another's CLI process reads it.
+fn write_paper_example(name: &str) -> PathBuf {
+    let path = temp_file(&format!("{name}.hgr"));
     std::fs::write(&path, "0 1 2\n1 2 3\n0 1 2 3 4\n4 5\n").unwrap();
     path
 }
@@ -28,7 +31,7 @@ fn no_args_prints_usage_and_fails() {
 
 #[test]
 fn stats_reports_shape() {
-    let path = write_paper_example();
+    let path = write_paper_example("stats_reports_shape");
     let out = cli().arg("stats").arg(&path).output().unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -40,7 +43,7 @@ fn stats_reports_shape() {
 
 #[test]
 fn slg_emits_edge_list() {
-    let path = write_paper_example();
+    let path = write_paper_example("slg_emits_edge_list");
     let out = cli().arg("slg").arg(&path).arg("--s=2").output().unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -50,7 +53,7 @@ fn slg_emits_edge_list() {
 
 #[test]
 fn slg_writes_output_file() {
-    let path = write_paper_example();
+    let path = write_paper_example("slg_writes_output_file");
     let out_path = temp_file("s3.edges");
     let out = cli()
         .arg("slg")
@@ -66,7 +69,7 @@ fn slg_writes_output_file() {
 
 #[test]
 fn components_lists_sets() {
-    let path = write_paper_example();
+    let path = write_paper_example("components_lists_sets");
     let out = cli()
         .arg("components")
         .arg(&path)
@@ -81,7 +84,7 @@ fn components_lists_sets() {
 
 #[test]
 fn sweep_counts_match_figure2() {
-    let path = write_paper_example();
+    let path = write_paper_example("sweep_counts_match_figure2");
     let out = cli()
         .arg("sweep")
         .arg(&path)
@@ -96,7 +99,7 @@ fn sweep_counts_match_figure2() {
 
 #[test]
 fn sclique_flag_analyzes_dual() {
-    let path = write_paper_example();
+    let path = write_paper_example("sclique_flag_analyzes_dual");
     let out = cli()
         .arg("sweep")
         .arg(&path)
@@ -147,7 +150,7 @@ fn unknown_command_and_missing_file_fail() {
 
 #[test]
 fn draw_emits_dot() {
-    let path = write_paper_example();
+    let path = write_paper_example("draw_emits_dot");
     let out = cli().arg("draw").arg(&path).arg("--s=2").output().unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
