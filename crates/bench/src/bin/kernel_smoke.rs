@@ -11,7 +11,9 @@
 //! CSR build. The same run records the serial (1-worker) baseline, so
 //! the tail speedup at ≥4 workers is a self-contained number, and the
 //! line-graph edge lists are asserted byte-identical across all
-//! measured worker counts.
+//! measured worker counts. Each run also records the overlap counter
+//! the default strategy used, the exact wedge count of the counting
+//! pass and the resulting per-core counting rate (`wedges_per_sec`).
 //!
 //! The `stage5` section does the same for the Stage-5 frontier engine:
 //! cold per-worker-count medians of connected components, s-diameter
@@ -306,9 +308,12 @@ fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> Stage5Medians {
     }
 }
 
-/// One worker count's cold medians, all in milliseconds.
+/// One worker count's cold medians, all in milliseconds, plus the
+/// counting pass's counter kind and exact wedge count.
 #[derive(Clone, Copy)]
 struct StageMedians {
+    counter: &'static str,
+    wedges: u64,
     counting_ms: f64,
     merge_ms: f64,
     postprocess_ms: f64,
@@ -321,6 +326,11 @@ impl StageMedians {
     /// The post-counting tail: merge + restore/sort + CSR build.
     fn tail_ms(&self) -> f64 {
         self.merge_ms + self.postprocess_ms + self.csr_ms
+    }
+
+    /// Wedges counted per second of (median) counting time.
+    fn wedges_per_sec(&self) -> f64 {
+        self.wedges as f64 / (self.counting_ms / 1e3)
     }
 
     fn fields() -> [&'static str; 6] {
@@ -365,8 +375,10 @@ fn measure(
     let mut components = Vec::with_capacity(reps);
     let mut total = Vec::with_capacity(reps);
     let mut edges = Vec::new();
+    let mut wedges = 0;
     for _ in 0..reps.max(1) {
         let run = run_pipeline(h, &config);
+        wedges = run.stats.total().wedge_visits;
         let merge_ms = run.stats.merge_seconds * 1e3;
         counting.push(stage_ms(&run, "s-overlap") - merge_ms);
         merge.push(merge_ms);
@@ -378,6 +390,8 @@ fn measure(
     }
     (
         StageMedians {
+            counter: config.strategy.counter.label(),
+            wedges,
             counting_ms: median(counting),
             merge_ms: median(merge),
             postprocess_ms: median(postprocess),
@@ -463,8 +477,8 @@ fn main() {
             h.num_edges()
         );
         println!(
-            "{:>8} {:>12} {:>10} {:>12} {:>10} {:>12} {:>10}",
-            "workers", "counting", "merge", "postprocess", "csr", "components", "tail"
+            "{:>8} {:>12} {:>10} {:>12} {:>10} {:>12} {:>10} {:>10}",
+            "workers", "counting", "merge", "postprocess", "csr", "components", "tail", "wedges/s"
         );
         let mut rows: Vec<(usize, StageMedians)> = Vec::new();
         let mut reference: Option<Vec<(u32, u32)>> = None;
@@ -478,14 +492,15 @@ fn main() {
                 ),
             }
             println!(
-                "{:>8} {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms",
+                "{:>8} {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>9.1}M",
                 w,
                 meds.counting_ms,
                 meds.merge_ms,
                 meds.postprocess_ms,
                 meds.csr_ms,
                 meds.components_ms,
-                meds.tail_ms()
+                meds.tail_ms(),
+                meds.wedges_per_sec() / 1e6
             );
             // Warn-only trajectory check against the previous report.
             if let Some(prev) = previous_medians(previous.as_ref(), profile.name(), w) {
@@ -519,14 +534,15 @@ fn main() {
         let tail_speedup = baseline.tail_ms() / par_meds.tail_ms();
         let edges_out = reference_edges.len();
         println!(
-            "{:>8} {:>12} {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>12} {:>8.2}ms   (pre-PR serial tail)",
+            "{:>8} {:>12} {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>12} {:>8.2}ms {:>10}   (pre-PR serial tail)",
             "baseline",
             "-",
             baseline.merge_ms,
             baseline.postprocess_ms,
             baseline.csr_ms,
             "-",
-            baseline.tail_ms()
+            baseline.tail_ms(),
+            "-"
         );
         println!(
             "tail: {:.2}ms serial baseline -> {:.2}ms at {} workers = {:.2}x speedup  \
@@ -645,6 +661,9 @@ fn main() {
             .map(|(w, m)| {
                 Json::obj()
                     .set("workers", *w)
+                    .set("counter", m.counter)
+                    .set("wedges", m.wedges)
+                    .set("wedges_per_sec", m.wedges_per_sec())
                     .set("counting_ms", m.counting_ms)
                     .set("merge_ms", m.merge_ms)
                     .set("postprocess_ms", m.postprocess_ms)

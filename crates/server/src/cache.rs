@@ -122,7 +122,7 @@ pub enum MetricKind {
 /// The s-line-graph construction algorithms the server exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgoKind {
-    /// The paper's hashmap-counting Algorithm 2 (default).
+    /// The paper's overlap-counting Algorithm 2 (default).
     Algo2,
     /// The HiPC'21 set-intersection Algorithm 1.
     Algo1,

@@ -6,7 +6,7 @@
 //! s-incident pairs as edges. This crate implements:
 //!
 //! * [`algorithms`] — the naive baseline, the HiPC'21 set-intersection
-//!   algorithm (Algorithm 1) and the paper's hashmap-counting algorithm
+//!   algorithm (Algorithm 1) and the paper's overlap-counting algorithm
 //!   (Algorithm 2, zero set intersections);
 //! * [`ensemble`] — Algorithm 3: all requested `s` values from one
 //!   counting pass;

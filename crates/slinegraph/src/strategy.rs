@@ -18,7 +18,7 @@ pub enum Algorithm {
     /// Set-intersection over wedge-connected pairs with heuristics — the
     /// HiPC'21 algorithm the paper compares against (Algorithm 1).
     Algo1,
-    /// Hashmap-based overlap counting, no set intersections — the paper's
+    /// Wedge-driven overlap counting, no set intersections — the paper's
     /// contribution (Algorithm 2).
     Algo2,
     /// SpGEMM (`HᵀH`) followed by filtration (§III-G baseline). `upper`
@@ -104,7 +104,7 @@ impl Default for Strategy {
             partition: Partition::Blocked,
             relabel: RelabelOrder::None,
             num_workers: 0,
-            counter: CounterKind::DynamicMap,
+            counter: CounterKind::default(),
             degree_pruning: true,
             triangle: TriangleSide::default(),
             algo1_heuristics: Algo1Heuristics::default(),
@@ -235,7 +235,7 @@ mod tests {
     fn builder_chain() {
         let s = Strategy::default()
             .with_partition(Partition::Dynamic { chunk: 64 })
-            .with_counter(CounterKind::DenseArray)
+            .with_counter(CounterKind::ReusedMap)
             .with_pruning(false)
             .with_triangle(TriangleSide::Lower)
             .with_algo1_heuristics(Algo1Heuristics {
@@ -244,11 +244,17 @@ mod tests {
             })
             .with_workers(2);
         assert_eq!(s.partition, Partition::Dynamic { chunk: 64 });
-        assert_eq!(s.counter, CounterKind::DenseArray);
+        assert_eq!(s.counter, CounterKind::ReusedMap);
         assert!(!s.degree_pruning);
         assert_eq!(s.triangle, TriangleSide::Lower);
         assert!(!s.algo1_heuristics.skip_visited);
         assert_eq!(s.num_workers, 2);
+    }
+
+    #[test]
+    fn default_counter_is_dense_array() {
+        assert_eq!(CounterKind::default(), CounterKind::DenseArray);
+        assert_eq!(Strategy::default().counter, CounterKind::default());
     }
 
     #[test]

@@ -15,8 +15,11 @@
 #      separate Cargo workspace with path dependencies on crates/, so a
 #      public-API change it calls fails here, not first in a bench run
 #   6. cargo build --release
-#   7. cargo test -q, then the chaos suite by name (deadline/cancel,
-#      slow-client, fault-injection, and drain invariants — also --fast)
+#   7. cargo test -q --workspace — every package's unit, integration
+#      and doc tests, the counting oracles and the server suites
+#      included (also --fast) — then the chaos suite by name
+#      (deadline/cancel, slow-client, fault-injection, and drain
+#      invariants — also --fast)
 #   8. the two smoke benchmarks (skipped with --fast) — server (cold vs
 #      warm cache latencies + server-side p50/p99 from the /metrics
 #      histograms + streamed edge-list wire bytes, identity vs gzip +
@@ -71,13 +74,14 @@ cargo check --offline --manifest-path hlbench/Cargo.toml
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
-# The chaos suite is part of `cargo test` above, but it is the gate for
-# the request-lifecycle invariants (no request outlives its deadline, no
-# truncated 200s, drain within bound, every injected fault counted), so
-# it runs by name — in --fast mode too — and can never be scoped away.
+# The chaos suite is part of the workspace tests above, but it is the
+# gate for the request-lifecycle invariants (no request outlives its
+# deadline, no truncated 200s, drain within bound, every injected fault
+# counted), so it runs by name — in --fast mode too — and can never be
+# scoped away.
 echo "==> chaos suite (deadlines, slow clients, fault injection, drain)"
 cargo test -q -p hyperline-server --test chaos
 

@@ -20,7 +20,7 @@
 //! // The paper's running example: 6 vertices a..f, 4 hyperedges.
 //! let h = Hypergraph::paper_example();
 //!
-//! // Construct the 2-line graph with the paper's hashmap algorithm.
+//! // Construct the 2-line graph with the paper's overlap-counting algorithm.
 //! let result = algo2_slinegraph(&h, 2, &Strategy::default());
 //! assert_eq!(result.edges, vec![(0, 1), (0, 2), (1, 2)]);
 //!

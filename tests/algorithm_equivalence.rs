@@ -124,29 +124,52 @@ proptest! {
 
 #[test]
 fn strategies_agree_on_profile_data() {
-    // Heavier, deterministic cross-check on a generated profile.
+    // Heavier, deterministic cross-check on a generated profile. The
+    // references share no code with the counting kernel: SpGEMM (HᵀH
+    // plus filtration) for the edge lists and pairwise `inc` for the
+    // weights, so the check holds whichever counter is the default.
     let h = Profile::EmailEuAll.generate(9);
-    let reference = algo2_slinegraph(&h, 3, &Strategy::default()).edges;
+    let s = 3;
+    let reference = spgemm_slinegraph(&h, s, true).edges;
+    assert_eq!(
+        algo1_slinegraph(&h, s, &Strategy::default()).edges,
+        reference
+    );
+    let ensemble_s = [1u32, 3];
+    let ensemble_reference: Vec<(u32, Vec<(u32, u32)>)> = ensemble_s
+        .iter()
+        .map(|&s| (s, spgemm_slinegraph(&h, s, true).edges))
+        .collect();
     for partition in [
         Partition::Blocked,
         Partition::Cyclic,
         Partition::Dynamic { chunk: 64 },
     ] {
         for counter in CounterKind::ALL {
-            let st = Strategy::default()
-                .with_partition(partition)
-                .with_counter(counter)
-                .with_workers(5);
-            assert_eq!(
-                algo2_slinegraph(&h, 3, &st).edges,
-                reference,
-                "{partition:?}/{counter:?}"
-            );
+            for side in [TriangleSide::Upper, TriangleSide::Lower] {
+                let st = Strategy::default()
+                    .with_partition(partition)
+                    .with_counter(counter)
+                    .with_triangle(side)
+                    .with_workers(5);
+                let label = format!("{partition:?}/{counter:?}/{side:?}");
+                assert_eq!(
+                    algo2_slinegraph(&h, s, &st).edges,
+                    reference,
+                    "algo2 {label}"
+                );
+                let (weighted, _) = algo2_slinegraph_weighted(&h, s, &st);
+                let pairs: Vec<(u32, u32)> = weighted.iter().map(|&(i, j, _)| (i, j)).collect();
+                assert_eq!(pairs, reference, "weighted {label}");
+                for &(i, j, w) in &weighted {
+                    assert_eq!(w as usize, h.inc(i, j), "weight of ({i},{j}) {label}");
+                }
+                assert_eq!(
+                    ensemble_slinegraphs(&h, &ensemble_s, &st).per_s,
+                    ensemble_reference,
+                    "ensemble {label}"
+                );
+            }
         }
     }
-    assert_eq!(
-        algo1_slinegraph(&h, 3, &Strategy::default()).edges,
-        reference
-    );
-    assert_eq!(spgemm_slinegraph(&h, 3, true).edges, reference);
 }
