@@ -55,15 +55,15 @@ proptest! {
             prop_assert_eq!(eccs[v as usize], bfs::eccentricity(&g, v), "ecc {}", v);
         }
         prop_assert_eq!(frontier::diameter(&g), bfs::diameter(&g));
-        for v in 0..n {
-            let dist = bfs::bfs_distances(&g, v as u32);
+        for v in 0..n as u32 {
+            let dist = bfs::bfs_distances(&g, v);
             let expect: f64 = dist
                 .iter()
                 .filter(|&&d| d != bfs::UNREACHABLE && d > 0)
                 .map(|&d| 1.0 / d as f64)
                 .sum::<f64>()
                 / (n as f64 - 1.0).max(1.0);
-            let got = if n <= 1 { 0.0 } else { closeness[v] };
+            let got = if n <= 1 { 0.0 } else { closeness[v as usize] };
             prop_assert!((got - expect).abs() < 1e-12, "closeness {}: {} vs {}", v, got, expect);
         }
     }

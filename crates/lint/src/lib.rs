@@ -332,7 +332,7 @@ mod tests {
             "crates/server/src/ok.rs",
             "// lint: request-root\nfn root() {}\nfn cold(x: Option<u32>) -> u32 { x.unwrap() }\n",
         );
-        let report = analyze(&[parseable.clone()]);
+        let report = analyze(std::slice::from_ref(&parseable));
         assert!(
             report.findings.is_empty(),
             "{:?}",

@@ -323,9 +323,7 @@ pub fn mask(text: &str) -> String {
                     i += 1;
                 } else if let Some((hashes, quote_at)) = raw_open {
                     st = St::RawStr(hashes);
-                    for _ in i..=quote_at {
-                        out.push(b' ');
-                    }
+                    out.resize(out.len() + (quote_at + 1 - i), b' ');
                     i = quote_at + 1;
                 } else if c == b'\'' {
                     // Char literal vs lifetime: a literal closes within a
@@ -343,9 +341,7 @@ pub fn mask(text: &str) -> String {
                         }
                     }
                     if b.get(j) == Some(&b'\'') && j > i + 1 {
-                        for _ in i..=j {
-                            out.push(b' ');
-                        }
+                        out.resize(out.len() + (j + 1 - i), b' ');
                         i = j + 1;
                     } else {
                         out.push(c); // lifetime tick
@@ -401,9 +397,7 @@ pub fn mask(text: &str) -> String {
                     }
                     if k == h {
                         st = St::Code;
-                        for _ in i..j {
-                            out.push(b' ');
-                        }
+                        out.resize(out.len() + (j - i), b' ');
                         i = j;
                         continue;
                     }

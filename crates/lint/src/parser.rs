@@ -404,10 +404,9 @@ impl<'a> Parser<'a> {
                 }
             }
             // Visibility.
-            if self.eat_ident("pub") {
-                if matches!(self.peek(), Some(t) if t.kind == Tok::Open(b'(')) {
-                    self.skip_tree();
-                }
+            if self.eat_ident("pub") && matches!(self.peek(), Some(t) if t.kind == Tok::Open(b'('))
+            {
+                self.skip_tree();
             }
             let Some(t) = self.peek() else { return };
             let word = if t.kind == Tok::Ident {

@@ -151,10 +151,7 @@ pub fn run(graph: &CallGraph<'_>, findings: &mut Vec<Finding>) -> usize {
             .entry((held.to_string(), acquired.to_string()))
             .or_insert_with(|| (file.to_string(), line, via.to_string()));
     };
-    for id in 0..n {
-        if !scoped[id] {
-            continue;
-        }
+    for id in (0..n).filter(|&id| scoped[id]) {
         let node = &graph.nodes[id];
         let resolve_held = |acq_held: &[String]| -> Vec<String> {
             acq_held.iter().filter_map(|h| lock_id(h, id)).collect()
@@ -196,17 +193,14 @@ pub fn run(graph: &CallGraph<'_>, findings: &mut Vec<Finding>) -> usize {
     }
 
     // Self-loops are immediate re-entrancy deadlocks.
-    for id in 0..n {
-        if !scoped[id] {
-            continue;
-        }
+    for id in (0..n).filter(|&id| scoped[id]) {
         let node = &graph.nodes[id];
         for acq in &node.def.locks {
             let Some(acquired) = lock_id(&acq.chain, id) else {
                 continue;
             };
             let held_ids: Vec<String> = acq.held.iter().filter_map(|h| lock_id(h, id)).collect();
-            if held_ids.iter().any(|h| *h == acquired) {
+            if held_ids.contains(&acquired) {
                 findings.push(Finding {
                     file: node.file.to_string(),
                     line: acq.line as usize,

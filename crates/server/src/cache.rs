@@ -6,7 +6,10 @@
 //!
 //! * the **artifact tier** ([`ArtifactCache`], keyed by [`CacheKey`]) —
 //!   computed s-line graphs, keyed by everything that determines their
-//!   content: `(dataset, s, algorithm, weighted)`;
+//!   content: `(dataset, s, algorithm)`. Its
+//!   [`lookup_floor`](ArtifactCache::lookup_floor) finds the resident
+//!   entry with the highest `s0 ≤ s`, which the server filters a missing
+//!   Algorithm-2 `L_s` from instead of recounting;
 //! * the **metric tier** (keyed by [`MetricKey`]) — Stage-5 results
 //!   (components, betweenness rankings, spectra, sweep counts) layered
 //!   over the artifact tier, so warm metric queries skip the parallel
@@ -65,7 +68,11 @@ pub struct CacheKey {
     /// Construction algorithm (distinct algorithms are distinct artifacts
     /// so comparative benchmarking never aliases).
     pub algorithm: AlgoKind,
-    /// Whether overlap weights were materialized.
+    /// Whether overlap weights were materialized. Keys built by the
+    /// server always carry `false`: every Algorithm-2 artifact carries
+    /// its overlaps, and `weighted=1` only picks the row shape at render
+    /// time. The field stays for callers that model the older policy of
+    /// one entry per row shape.
     pub weighted: bool,
 }
 
@@ -478,11 +485,16 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
             cancel::with_token(Some(token), compute)
         }));
         // `negative_cacheable`: only genuine compute errors back off —
-        // a cancellation must be retried by the next request, and a
-        // panic's recompute behavior is pinned by tests.
+        // a cancellation must be retried by the next request (also one
+        // a nested flight returned as its error, as a metric or sweep
+        // flight's artifact flight does), and a panic's recompute
+        // behavior is pinned by tests.
         let (result, negative_cacheable) = match computed {
             Ok(Ok(value_bytes)) => (Ok(value_bytes), false),
-            Ok(Err(e)) => (Err(e), true),
+            Ok(Err(e)) => {
+                let cacheable = e != cancel::CANCELLED;
+                (Err(e), cacheable)
+            }
             Err(payload) => {
                 if payload.downcast_ref::<cancel::Cancelled>().is_some() {
                     self.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -585,8 +597,8 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
         self.lock().generation(dataset)
     }
 
-    /// Inserts a value computed outside a flight (the sweep path builds
-    /// many artifacts in one ensemble pass), but only when the dataset's
+    /// Inserts a value computed outside a flight (the sweep path derives
+    /// many artifacts from one), but only when the dataset's
     /// generation still equals `generation` — a replacement racing the
     /// computation must not pin stale entries. Counts as a miss when
     /// inserted (a computation happened); returns whether it entered the
@@ -672,6 +684,32 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
             used_bytes: inner.used_bytes,
             budget_bytes: self.budget_bytes,
         }
+    }
+}
+
+impl<V> ArtifactCache<V> {
+    /// The resident entry built at the highest threshold `s0 ≤ key.s`
+    /// among those that differ from `key` only in `s`: the source a
+    /// missing `L_s` can be filtered from instead of recounted. One scan
+    /// under the lock, however large `key.s` is. Touches the found
+    /// entry's LRU clock but counts neither a hit nor a miss — `key`
+    /// itself is still missing and about to be computed.
+    pub fn lookup_floor(&self, key: &CacheKey) -> Option<Arc<V>> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let now = inner.clock;
+        let (_, entry) = inner
+            .map
+            .iter_mut()
+            .filter(|(k, _)| {
+                k.s <= key.s
+                    && k.dataset == key.dataset
+                    && k.algorithm == key.algorithm
+                    && k.weighted == key.weighted
+            })
+            .max_by_key(|(k, _)| k.s)?;
+        entry.last_used = now;
+        Some(Arc::clone(&entry.value))
     }
 }
 
@@ -793,6 +831,30 @@ mod tests {
     }
 
     #[test]
+    fn nested_cancellation_is_never_negative_cached() {
+        // A flight whose compute resolved a nested flight that was
+        // cancelled returns the sentinel as a plain error; the next
+        // request must recompute, not be answered from the error cache.
+        let cache: ArtifactCache<u32> = ArtifactCache::new(100);
+        cache.set_negative_ttl(Duration::from_secs(60));
+        let err = cache
+            .get_or_compute(&key("a", 1), || Err(cancel::CANCELLED.to_string()))
+            .unwrap_err();
+        assert_eq!(err, cancel::CANCELLED);
+        let (v, outcome) = cache.get_or_compute(&key("a", 1), || Ok((3, 8))).unwrap();
+        assert_eq!((*v, outcome), (3, CacheOutcome::Miss));
+        assert_eq!(cache.stats().negative_hits, 0);
+        // A genuine error still backs off.
+        cache
+            .get_or_compute(&key("a", 2), || Err("nope".to_string()))
+            .unwrap_err();
+        let err = cache
+            .get_or_compute(&key("a", 2), || Ok((4, 8)))
+            .unwrap_err();
+        assert_eq!(err, "nope");
+    }
+
+    #[test]
     fn panicking_compute_resolves_waiters_and_retries() {
         let cache: ArtifactCache<u32> = ArtifactCache::new(100);
         let err = cache
@@ -890,6 +952,53 @@ mod tests {
         cache.get_or_compute(&key("a", 3), || Ok((3, 40))).unwrap();
         assert!(cache.lookup(&key("a", 1)).is_some(), "probed entry kept");
         assert!(cache.lookup(&key("a", 2)).is_none(), "LRU entry evicted");
+    }
+
+    #[test]
+    fn lookup_floor_finds_the_highest_threshold_at_or_below_s() {
+        let cache: ArtifactCache<u32> = ArtifactCache::new(1 << 20);
+        for s in [2, 5, 9] {
+            cache.get_or_compute(&key("a", s), || Ok((s, 8))).unwrap();
+        }
+        // Other datasets and algorithms never stand in, whatever their s.
+        cache.get_or_compute(&key("b", 4), || Ok((104, 8))).unwrap();
+        let algo1 = |s| CacheKey {
+            algorithm: AlgoKind::Algo1,
+            ..key("a", s)
+        };
+        cache.get_or_compute(&algo1(3), || Ok((203, 8))).unwrap();
+        cache.get_or_compute(&algo1(8), || Ok((208, 8))).unwrap();
+        let before = cache.stats();
+        let floor = |s| cache.lookup_floor(&key("a", s)).map(|v| *v);
+        assert_eq!(floor(1), None, "every resident s0 is above s");
+        assert_eq!(floor(2), Some(2), "s0 = s qualifies");
+        assert_eq!(floor(4), Some(2));
+        assert_eq!(floor(5), Some(5));
+        assert_eq!(floor(8), Some(5));
+        assert_eq!(floor(u32::MAX), Some(9));
+        assert_eq!(cache.lookup_floor(&algo1(7)).map(|v| *v), Some(203));
+        assert_eq!(cache.lookup_floor(&key("c", 9)), None);
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits, before.misses),
+            "a floor probe is neither a hit nor a miss"
+        );
+        cache.invalidate_dataset("a");
+        assert_eq!(floor(9), None, "invalidated sources are gone");
+        assert_eq!(cache.lookup_floor(&key("b", 4)).map(|v| *v), Some(104));
+    }
+
+    #[test]
+    fn lookup_floor_refreshes_the_source_lru_position() {
+        let cache: ArtifactCache<u32> = ArtifactCache::new(100);
+        cache.get_or_compute(&key("a", 2), || Ok((2, 40))).unwrap();
+        cache.get_or_compute(&key("a", 5), || Ok((5, 40))).unwrap();
+        // Floor-probe s=2 (via s=3) so s=5 becomes the eviction victim.
+        assert_eq!(cache.lookup_floor(&key("a", 3)).map(|v| *v), Some(2));
+        cache.get_or_compute(&key("a", 7), || Ok((7, 40))).unwrap();
+        assert!(cache.lookup(&key("a", 2)).is_some(), "probed source kept");
+        assert!(cache.lookup(&key("a", 5)).is_none(), "LRU entry evicted");
     }
 
     #[test]

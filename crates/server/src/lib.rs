@@ -5,9 +5,11 @@
 //! s-metric queries (components, betweenness, s-distance, spectra) become
 //! cheap graph operations. This crate turns that observation into a
 //! long-lived service: load hypergraphs once, build each requested
-//! `L_s(H)` at most once, and answer many cheap queries from the cached
-//! artifact — the architecture of high-performance tile servers
-//! (IIPImage) applied to hypergraph analytics.
+//! `L_s(H)` at most once — counting overlaps once per dataset and
+//! filtering every higher `s` from the cached counts, the paper's
+//! Algorithm 3 applied across requests — and answer many cheap queries
+//! from the cached artifact: the architecture of high-performance tile
+//! servers (IIPImage) applied to hypergraph analytics.
 //!
 //! Everything is `std`-only: `TcpListener` + scoped threads, a
 //! hand-rolled HTTP/1.1 parser, and a write-only JSON builder.
@@ -19,7 +21,11 @@
 //!   `POST /datasets`;
 //! * [`cache`] — the **two cache tiers** on one single-flight LRU
 //!   engine: the artifact tier holds computed [`SLineGraph`]s keyed by
-//!   `(dataset, s, algorithm, weighted)`; the metric tier layered over
+//!   `(dataset, s, algorithm)`, each Algorithm-2 one with the overlap
+//!   count of every edge, so a missing `L_s` is filtered from the
+//!   cached one with the largest `s0 ≤ s` instead of recounted (and
+//!   `weighted=1` rows render from the same entry); the metric tier
+//!   layered over
 //!   it holds Stage-5 results (components, betweenness rankings,
 //!   spectra, sweep counts) keyed by `(artifact, metric, params)`, so
 //!   warm metric queries skip the parallel kernels entirely. Both tiers
@@ -33,11 +39,12 @@
 //!   HTTP/1.1 keep-alive (HEAD, `Expect: 100-continue` and desync-safe
 //!   error handling included) into a bounded hand-off buffer the loop
 //!   drains under `EPOLLOUT`. `GET /datasets/{d}/sweep` reuses and
-//!   populates per-s artifacts, and `POST /query` answers a JSON batch
-//!   of sub-queries in one round-trip under one compute budget. Large
-//!   bodies (edge lists, sweeps, components) **stream** from the cached
-//!   `Arc` artifacts through a chunked (and, when negotiated, gzip)
-//!   writer stack with O(1) buffering;
+//!   populates per-s artifacts, counting at most once (at its smallest
+//!   missing `s`) and filtering the rest, and `POST /query` answers a
+//!   JSON batch of sub-queries in one round-trip under one compute
+//!   budget. Large bodies (edge lists, sweeps, components) **stream**
+//!   from the cached `Arc` artifacts through a chunked (and, when
+//!   negotiated, gzip) writer stack with O(1) buffering;
 //! * [`http`] / [`json`] — the wire-format helpers: percent-decoding
 //!   request parser, chunked-transfer writer, `Accept-Encoding`
 //!   negotiation; JSON builder + strict parser + streaming serializer

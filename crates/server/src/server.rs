@@ -8,13 +8,21 @@
 //! per-connection hand-off buffer the loop drains as the socket
 //! accepts bytes. Query endpoints resolve through a two-tier
 //! single-flight LRU cache: the **artifact tier** builds each s-line
-//! graph at most once per `(dataset, s, algorithm, weighted)`, and the
-//! **metric tier** layered on top computes each Stage-5 result
-//! (components, betweenness, spectrum, sweep counts) at most once per
+//! graph at most once per `(dataset, s, algorithm)`, and the **metric
+//! tier** layered on top computes each Stage-5 result (components,
+//! betweenness, spectrum, sweep counts) at most once per
 //! `(artifact, metric, params)` — so warm metric queries are O(1)
 //! lookups plus rendering instead of parallel kernel runs.
 //! `POST /query` answers a JSON array of sub-queries in one round-trip
 //! under one compute budget.
+//!
+//! Counting happens once per dataset, not once per `s` (the paper's
+//! Algorithm 3, applied across requests): every Algorithm-2 artifact
+//! carries each edge's overlap count, so a missing `L_s` is filtered
+//! from the cached Algorithm-2 artifact with the largest `s0 ≤ s`, and
+//! the wedge-counting kernel runs only when no such artifact exists.
+//! The same counts render `weighted=1` rows, so plain and weighted
+//! `/slg` share one artifact.
 
 use crate::access_log::{AccessLog, AccessRecord, RequestIds};
 use crate::cache::{
@@ -31,11 +39,12 @@ use crate::sync::{Arc, Mutex};
 use crate::sys;
 use hyperline_hypergraph::Hypergraph;
 use hyperline_slinegraph::{
-    algo1_slinegraph, algo2_slinegraph, algo2_slinegraph_weighted, build_slinegraphs_over_s,
-    naive_slinegraph, spgemm_slinegraph, SLineGraph, Strategy,
+    algo1_slinegraph, algo2_slinegraph_weighted, naive_slinegraph, spgemm_slinegraph, SLineGraph,
+    Strategy,
 };
 use hyperline_util::cancel::{self, Deadline, Watchdog};
 use hyperline_util::failpoint;
+use hyperline_util::parallel::{par_map_slice, with_threads};
 use hyperline_util::telemetry::{self, Span, StageAgg};
 use hyperline_util::FxHashMap;
 use std::io::{Read, Write};
@@ -112,13 +121,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// A cached artifact: the s-line graph plus (optionally) its weighted
-/// edge list.
+/// A cached artifact: the s-line graph plus, for Algorithm 2, the
+/// overlap count of each of its edges.
 pub struct Artifact {
     /// The queryable line graph.
     pub slg: SLineGraph,
-    /// Normalized `(i, j, overlap)` triples when built weighted.
-    pub weighted_edges: Option<Vec<(u32, u32, u32)>>,
+    /// `overlaps[k]` is the overlap of `slg.edges[k]`. `Some` on every
+    /// Algorithm-2 artifact (a higher-`s` artifact is filtered from
+    /// these, and `weighted=1` rows render them); `None` for the other
+    /// algorithms.
+    pub overlaps: Option<Vec<u32>>,
 }
 
 impl Artifact {
@@ -128,8 +140,14 @@ impl Artifact {
         // Edge list (8 B) + CSR adjacency (2×4 B per direction) + offsets.
         slg.num_edges() * (8 + 16)
             + slg.num_vertices() * 24
-            + self.weighted_edges.as_ref().map_or(0, |w| w.len() * 12)
+            + self.overlaps.as_ref().map_or(0, |w| w.len() * 4)
             + 128
+    }
+
+    /// The artifact with the byte size the cache accounts it at.
+    fn sized(self) -> (Artifact, usize) {
+        let bytes = self.approx_bytes();
+        (self, bytes)
     }
 }
 
@@ -175,24 +193,29 @@ impl MetricResult {
 
 /// Streams `/slg` edge rows (`[i,j]` or `[i,j,overlap]`) straight from
 /// the cached artifact: the response holds the `Arc`, not a rendered
-/// body, so a full edge list serializes with O(1) buffering.
+/// body, so a full edge list serializes with O(1) buffering. The row
+/// shape is the request's: one artifact serves both.
 struct EdgeRows {
     artifact: Arc<Artifact>,
     limit: usize,
+    weighted: bool,
 }
 
 impl StreamFragment for EdgeRows {
     fn write_json(&self, out: &mut dyn Write) -> std::io::Result<()> {
         out.write_all(b"[")?;
-        if let Some(weighted) = &self.artifact.weighted_edges {
-            for (n, &(i, j, w)) in weighted.iter().take(self.limit).enumerate() {
+        let edges = &self.artifact.slg.edges;
+        let overlaps = self.artifact.overlaps.as_ref().filter(|_| self.weighted);
+        if let Some(overlaps) = overlaps {
+            let rows = edges.iter().zip(overlaps).take(self.limit);
+            for (n, (&(i, j), w)) in rows.enumerate() {
                 if n > 0 {
                     out.write_all(b",")?;
                 }
                 write!(out, "[{i},{j},{w}]")?;
             }
         } else {
-            for (n, &(i, j)) in self.artifact.slg.edges.iter().take(self.limit).enumerate() {
+            for (n, &(i, j)) in edges.iter().take(self.limit).enumerate() {
                 if n > 0 {
                     out.write_all(b",")?;
                 }
@@ -258,7 +281,7 @@ pub struct ServerState {
     /// Named datasets.
     pub registry: DatasetRegistry,
     /// The artifact tier: s-line graphs keyed by
-    /// `(dataset, s, algorithm, weighted)`.
+    /// `(dataset, s, algorithm)`.
     pub cache: ArtifactCache<Artifact>,
     /// The metric tier: Stage-5 results keyed by
     /// `(artifact key, metric, metric params)`.
@@ -1785,8 +1808,9 @@ fn cache_err(message: String) -> (u16, String) {
 ///
 /// Call sites are structured so these sections never nest (a metric
 /// flight resolves its artifact *before* entering its own budget
-/// section; a batch wraps nothing itself) — nesting would register one
-/// request twice and halve its own budget, so keep it that way.
+/// section, as a sweep does before its derive section; a batch wraps
+/// nothing itself) — nesting would register one request twice and
+/// halve its own budget, so keep it that way.
 fn with_compute_budget<T>(state: &ServerState, f: impl FnOnce() -> T) -> T {
     struct ActiveGuard<'a>(&'a std::sync::atomic::AtomicUsize);
     impl Drop for ActiveGuard<'_> {
@@ -1856,7 +1880,9 @@ fn handle_debug_pipeline(state: &ServerState) -> Json {
     Json::obj().set("datasets", datasets)
 }
 
-/// Resolves `key` through the artifact tier (computing on miss).
+/// Resolves `key` through the artifact tier. A miss on an Algorithm-2
+/// key derives from the cached Algorithm-2 artifact with the largest
+/// `s0 ≤ s` when one exists, and counts otherwise.
 fn get_artifact(
     state: &ServerState,
     key: &CacheKey,
@@ -1865,33 +1891,59 @@ fn get_artifact(
     state
         .cache
         .get_or_compute_cancellable(key, deadline, || {
-            // The hypergraph is re-fetched *inside* the flight: a
-            // replacement racing an earlier lookup would otherwise slip
-            // past the cache's generation check and pin a stale
-            // artifact. Any invalidation after this point bumps the
-            // generation the flight observed, which blocks caching.
-            let h = state
-                .registry
-                .get(&key.dataset)
-                .ok_or_else(|| format!("dataset {:?} was removed", key.dataset))?
-                .hypergraph;
             // Stage spans are collected on cold computations only —
             // the flight owner pays a thread-local context, warm
             // traffic pays nothing.
-            let (result, report) =
-                telemetry::collect(|| with_compute_budget(state, || compute_artifact(&h, key)));
+            let (result, report) = telemetry::collect(|| {
+                // A derive source is fenced like the hypergraph below:
+                // an invalidation removes every source of the dataset,
+                // and one landing after the flight started blocks
+                // caching the derived value.
+                if let Some(derived) = derive_from_cache(state, key) {
+                    return Ok(derived.sized());
+                }
+                // The hypergraph is re-fetched *inside* the flight: a
+                // replacement racing an earlier lookup would otherwise
+                // slip past the cache's generation check and pin a
+                // stale artifact. Any invalidation after this point
+                // bumps the generation the flight observed, which
+                // blocks caching.
+                let h = state
+                    .registry
+                    .get(&key.dataset)
+                    .ok_or_else(|| format!("dataset {:?} was removed", key.dataset))?
+                    .hypergraph;
+                with_compute_budget(state, || compute_artifact(&h, key))
+            });
             state.record_pipeline(&key.dataset, &report);
             result
         })
         .map_err(cache_err)
 }
 
+/// Filters `key`'s artifact from the cached Algorithm-2 artifact with
+/// the largest `s0 ≤ key.s` (see [`derive_artifact`]), under a `derive`
+/// span; `None` when no such artifact is resident.
+fn derive_from_cache(state: &ServerState, key: &CacheKey) -> Option<Artifact> {
+    if key.algorithm != AlgoKind::Algo2 {
+        return None;
+    }
+    let source = state.cache.lookup_floor(key)?;
+    let overlaps = source.overlaps.as_deref()?;
+    let _derive = Span::enter("derive");
+    Some(with_compute_budget(state, || {
+        derive_artifact(&source.slg, overlaps, key.s)
+    }))
+}
+
 /// `GET /datasets/{d}/sweep?max_s=` — answered from the metric tier,
 /// which in turn reuses (and populates) the artifact tier's per-s
-/// entries: only the s values with no cached artifact are computed, all
-/// of them in **one** Algorithm-3 ensemble pass, and each freshly built
-/// `L_s(H)` is inserted into the artifact tier so later `/slg?s=` (and
-/// metric) queries for any swept `s` start warm.
+/// entries: only the s values with no cached artifact are built. The
+/// smallest of them resolves through the artifact tier (derived from a
+/// lower cached `s0`, or counted once), every other one is filtered from
+/// it, and each freshly built `L_s(H)` is inserted into the artifact
+/// tier so later `/slg?s=` (and metric) queries for any swept `s` start
+/// warm.
 fn handle_sweep(
     state: &ServerState,
     params: &Params<'_>,
@@ -1910,7 +1962,8 @@ fn handle_sweep(
     let (result, outcome) = state
         .metric_cache
         .get_or_compute_cancellable(&metric_key, deadline, || {
-            let (result, report) = telemetry::collect(|| compute_sweep(state, name, max_s));
+            let (result, report) =
+                telemetry::collect(|| compute_sweep(state, name, max_s, deadline));
             state.record_pipeline(name, &report);
             result
         })
@@ -1926,12 +1979,14 @@ fn handle_sweep(
     ))
 }
 
-/// The artifact key a sweep's per-s probes and inserts use for `s`.
-fn sweep_artifact_key(name: &str, s: u32) -> CacheKey {
+/// The artifact-tier key of `L_s` on `name` built by `algorithm`. The
+/// server builds every artifact key here, always with `weighted: false`
+/// (the row shape is a render parameter).
+fn artifact_key(name: &str, s: u32, algorithm: AlgoKind) -> CacheKey {
     CacheKey {
         dataset: name.to_string(),
         s,
-        algorithm: AlgoKind::Algo2,
+        algorithm,
         weighted: false,
     }
 }
@@ -1939,32 +1994,30 @@ fn sweep_artifact_key(name: &str, s: u32) -> CacheKey {
 /// The artifact slot of a whole-sweep metric entry (`s = 0` is not a
 /// valid query, so it cannot collide with a real artifact key).
 fn sweep_pseudo_key(name: &str) -> CacheKey {
-    sweep_artifact_key(name, 0)
+    artifact_key(name, 0, AlgoKind::Algo2)
 }
 
 /// Computes the sweep counts for the metric tier: probe the artifact
-/// tier per `s`, ensemble-build only the missing values, and insert the
-/// new artifacts behind a generation fence so a dataset replacement
-/// racing the sweep can never pin stale per-s entries.
+/// tier per `s`, resolve the smallest missing `s` through the artifact
+/// tier (its own flight caches it), filter every other missing `s` from
+/// that artifact in parallel, and insert those behind a generation fence
+/// so a dataset replacement racing the sweep can never pin stale per-s
+/// entries.
 fn compute_sweep(
     state: &ServerState,
     name: &str,
     max_s: u32,
+    deadline: Option<&Deadline>,
 ) -> Result<(MetricResult, usize), String> {
-    // Generation first, hypergraph second: if a replacement lands in
-    // between, the recorded generation is already stale and every insert
+    // Generation before any artifact is read: if a replacement lands
+    // later, the recorded generation is already stale and every insert
     // below is dropped (fresh data is simply recomputed later — the
     // conservative direction).
     let generation = state.cache.generation(name);
-    let h = state
-        .registry
-        .get(name)
-        .ok_or_else(|| format!("dataset {name:?} was removed"))?
-        .hypergraph;
     let mut counts: Vec<(u32, usize)> = Vec::with_capacity(max_s as usize);
     let mut missing: Vec<u32> = Vec::new();
     for s in 1..=max_s {
-        match state.cache.lookup(&sweep_artifact_key(name, s)) {
+        match state.cache.lookup(&artifact_key(name, s, AlgoKind::Algo2)) {
             Some(artifact) => counts.push((s, artifact.slg.num_edges())),
             None => {
                 counts.push((s, usize::MAX)); // patched below
@@ -1972,21 +2025,33 @@ fn compute_sweep(
             }
         }
     }
-    if !missing.is_empty() {
-        let built = with_compute_budget(state, || {
-            build_slinegraphs_over_s(&h, &missing, &Strategy::default())
+    if let Some((&s_min, rest)) = missing.split_first() {
+        let (base, _) = get_artifact(state, &artifact_key(name, s_min, AlgoKind::Algo2), deadline)
+            .map_err(|(_, message)| message)?;
+        counts[(s_min - 1) as usize] = (s_min, base.slg.num_edges());
+        let overlaps = base
+            .overlaps
+            .as_deref()
+            .ok_or_else(|| "Algorithm-2 artifact carries no overlaps".to_string())?;
+        // Parallel over s; each derive is pinned to one worker so its
+        // CSR build does not start a second level of threads.
+        let derived = with_compute_budget(state, || {
+            par_map_slice(rest, |&s| {
+                with_threads(1, || {
+                    let _derive = Span::enter("derive");
+                    derive_artifact(&base.slg, overlaps, s)
+                })
+            })
         });
-        for (s, slg) in built {
-            let count = slg.num_edges();
-            counts[(s - 1) as usize] = (s, count);
-            let artifact = Artifact {
-                slg,
-                weighted_edges: None,
-            };
-            let bytes = artifact.approx_bytes();
-            state
-                .cache
-                .insert_if_current(sweep_artifact_key(name, s), generation, artifact, bytes);
+        for (&s, artifact) in rest.iter().zip(derived) {
+            counts[(s - 1) as usize] = (s, artifact.slg.num_edges());
+            let (artifact, bytes) = artifact.sized();
+            state.cache.insert_if_current(
+                artifact_key(name, s, AlgoKind::Algo2),
+                generation,
+                artifact,
+                bytes,
+            );
         }
     }
     debug_assert!(counts.iter().all(|&(_, c)| c != usize::MAX));
@@ -2008,12 +2073,7 @@ fn handle_cached_op(
 ) -> HandlerResult {
     let query = parse_query_params(params)?;
     meta.s = Some(query.s);
-    let key = CacheKey {
-        dataset: name.to_string(),
-        s: query.s,
-        algorithm: query.algorithm,
-        weighted: query.weighted,
-    };
+    let key = artifact_key(name, query.s, query.algorithm);
     let base = Json::obj()
         .set("dataset", name)
         .set("s", query.s)
@@ -2025,14 +2085,11 @@ fn handle_cached_op(
         let limit: usize = params.parse_or("limit", 100_000).map_err(|e| (400, e))?;
         let (artifact, outcome) = get_artifact(state, &key, deadline)?;
         let slg = &artifact.slg;
-        // The fragment keys row shape off the artifact's own weights; a
-        // mismatch with the request would mean a cache-key bug serving
-        // wrong rows, so fail loudly instead of answering 200.
-        if query.weighted != artifact.weighted_edges.is_some() {
-            return Err((
-                500,
-                "cached artifact does not match the weighted flag".to_string(),
-            ));
+        // `weighted=1` requires Algorithm 2, whose artifacts always carry
+        // overlaps; a missing one would mean a build bug serving the
+        // wrong row shape, so fail loudly instead of answering 200.
+        if query.weighted && artifact.overlaps.is_none() {
+            return Err((500, "cached artifact carries no overlaps".to_string()));
         }
         meta.cache = Some(outcome_name(outcome));
         return Ok((
@@ -2047,7 +2104,11 @@ fn handle_cached_op(
                 // list O(1) in memory.
                 .set(
                     "edges",
-                    Json::Stream(Arc::new(EdgeRows { artifact, limit })),
+                    Json::Stream(Arc::new(EdgeRows {
+                        artifact,
+                        limit,
+                        weighted: query.weighted,
+                    })),
                 ),
         ));
     }
@@ -2303,34 +2364,52 @@ fn answer_sub_query(
     result.map(|(status, body)| (status, body.set("op", op)))
 }
 
-/// Builds the artifact for `key` (runs outside the cache lock; the
-/// single-flight layer guarantees one concurrent builder per key).
+/// Builds the artifact for `key` from the hypergraph (runs outside the
+/// cache lock; the single-flight layer guarantees one concurrent builder
+/// per key).
 ///
-/// Weighted triples are stored exactly as [`algo2_slinegraph_weighted`]
-/// returns them: `i < j` and strictly ascending, the order of the
-/// unweighted edge list, so they need no re-normalization or re-sort.
+/// Algorithm 2 counts once with [`algo2_slinegraph_weighted`] and splits
+/// its triples into edges and overlaps. The triples come back with
+/// `i < j` and strictly ascending, the order of the unweighted edge
+/// list, so they need no re-normalization or re-sort.
 fn compute_artifact(h: &Hypergraph, key: &CacheKey) -> Result<(Artifact, usize), String> {
     let strategy = Strategy::default();
-    let (edges, weighted_edges) = if key.weighted {
-        let (triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
-        let edges = triples.iter().map(|&(i, j, _)| (i, j)).collect();
-        (edges, Some(triples))
-    } else {
-        let edges = match key.algorithm {
-            AlgoKind::Algo2 => algo2_slinegraph(h, key.s, &strategy).edges,
-            AlgoKind::Algo1 => algo1_slinegraph(h, key.s, &strategy).edges,
-            AlgoKind::Naive => naive_slinegraph(h, key.s, &strategy).edges,
-            AlgoKind::Spgemm => spgemm_slinegraph(h, key.s, true).edges,
-        };
-        (edges, None)
+    let (edges, overlaps) = match key.algorithm {
+        AlgoKind::Algo2 => {
+            let (triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
+            let (edges, overlaps) = triples.into_iter().map(|(i, j, n)| ((i, j), n)).unzip();
+            (edges, Some(overlaps))
+        }
+        AlgoKind::Algo1 => (algo1_slinegraph(h, key.s, &strategy).edges, None),
+        AlgoKind::Naive => (naive_slinegraph(h, key.s, &strategy).edges, None),
+        AlgoKind::Spgemm => (spgemm_slinegraph(h, key.s, true).edges, None),
     };
     let slg = SLineGraph::new_squeezed(key.s, h.num_edges(), edges);
-    let artifact = Artifact {
+    Ok(Artifact { slg, overlaps }.sized())
+}
+
+/// The Algorithm-2 artifact at `s`, derived from one built at `s0 ≤ s`
+/// (its line graph and overlaps) by keeping the edges whose overlap
+/// reaches `s`, with their overlaps. Needs no hypergraph, and equals a
+/// direct count at `s`:
+///
+/// * degree pruning at `s0` skipped only source hyperedges smaller than
+///   `s0 ≤ s`, and no edge of `L_s` touches one;
+/// * every other pair's count is exact;
+/// * filtering a sorted list keeps its order, so the edges, the squeezed
+///   IDs and the CSR come out as a direct build's.
+fn derive_artifact(source: &SLineGraph, overlaps: &[u32], s: u32) -> Artifact {
+    let (edges, overlaps): (Vec<(u32, u32)>, Vec<u32>) = source
+        .edges
+        .iter()
+        .zip(overlaps)
+        .filter(|&(_, &n)| n >= s)
+        .unzip();
+    let slg = SLineGraph::new_squeezed(s, source.num_hyperedges, edges);
+    Artifact {
         slg,
-        weighted_edges,
-    };
-    let bytes = artifact.approx_bytes();
-    Ok((artifact, bytes))
+        overlaps: Some(overlaps),
+    }
 }
 
 #[cfg(test)]
@@ -2428,28 +2507,55 @@ mod tests {
     }
 
     #[test]
-    fn weighted_artifact_matches_unweighted_edge_order() {
-        // The weighted artifact stores the kernel's triples as returned;
-        // their pairs must be the unweighted artifact's sorted edge list.
-        let lists: Vec<Vec<u32>> = (0..60u32)
-            .map(|e| (0..6).map(|k| (e * 7 + k * k * 3) % 40).collect())
-            .collect();
-        let h = Hypergraph::from_edge_lists(&lists, 40);
-        let key = |weighted| CacheKey {
-            dataset: "lists".to_string(),
-            s: 2,
-            algorithm: AlgoKind::Algo2,
-            weighted,
+    fn derived_artifacts_equal_direct_counts() {
+        // Every pair s0 <= s up to one past the largest overlap: the
+        // artifact filtered from the one counted at s0 must equal the
+        // one counted at s, down to the squeezed IDs and the CSR.
+        let model = hyperline_gen::UniformModel {
+            num_vertices: 40,
+            num_edges: 60,
+            edge_size_min: 1,
+            edge_size_max: 12,
+            edge_size_exponent: 0.5,
         };
-        let (weighted, _) = compute_artifact(&h, &key(true)).unwrap();
-        let (plain, _) = compute_artifact(&h, &key(false)).unwrap();
-        let triples = weighted.weighted_edges.unwrap();
-        assert!(!triples.is_empty());
-        let pairs: Vec<(u32, u32)> = triples.iter().map(|&(i, j, _)| (i, j)).collect();
-        assert!(pairs.iter().all(|&(i, j)| i < j));
-        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(pairs, algo2_slinegraph(&h, 2, &Strategy::default()).edges);
-        assert_eq!(weighted.slg.edges, plain.slg.edges);
+        let key = |s| artifact_key("random", s, AlgoKind::Algo2);
+        for seed in 1..=4 {
+            let h = model.generate(seed);
+            let (l1, _) = compute_artifact(&h, &key(1)).unwrap();
+            let s_high = l1.overlaps.as_ref().unwrap().iter().max().unwrap() + 1;
+            assert!(s_high > 2, "seed {seed}: overlaps too small to test");
+            let direct: Vec<Artifact> = (1..=s_high)
+                .map(|s| compute_artifact(&h, &key(s)).unwrap().0)
+                .collect();
+            assert!(direct[(s_high - 1) as usize].slg.edges.is_empty());
+            for s0 in 1..=s_high {
+                let source = &direct[(s0 - 1) as usize];
+                let overlaps = source.overlaps.as_deref().unwrap();
+                for s in s0..=s_high {
+                    let derived = derive_artifact(&source.slg, overlaps, s);
+                    let counted = &direct[(s - 1) as usize];
+                    let at = format!("seed {seed}, s0 {s0}, s {s}");
+                    assert_eq!(derived.slg.s, s, "{at}");
+                    assert_eq!(derived.slg.num_hyperedges, h.num_edges(), "{at}");
+                    assert_eq!(derived.slg.edges, counted.slg.edges, "{at}");
+                    assert_eq!(derived.overlaps, counted.overlaps, "{at}");
+                    let n = derived.slg.num_vertices();
+                    assert_eq!(n, counted.slg.num_vertices(), "{at}");
+                    for v in 0..n as u32 {
+                        assert_eq!(
+                            derived.slg.original_id(v),
+                            counted.slg.original_id(v),
+                            "{at}"
+                        );
+                    }
+                    assert_eq!(derived.slg.graph(), counted.slg.graph(), "{at}");
+                    let weights = derived.overlaps.as_deref().unwrap();
+                    for (&(i, j), &w) in derived.slg.edges.iter().zip(weights) {
+                        assert_eq!(w as usize, h.inc(i, j), "{at}: ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

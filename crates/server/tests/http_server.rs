@@ -387,7 +387,7 @@ fn percent_encoded_requests_resolve() {
 
 #[test]
 fn sweep_and_weighted_agree_with_library() {
-    use hyperline_slinegraph::{algo2_slinegraph, Strategy};
+    use hyperline_slinegraph::{algo2_slinegraph, algo2_slinegraph_weighted, Strategy};
 
     let (handle, name) = start_server("lesMis", 2);
     let addr = handle.addr();
@@ -404,18 +404,102 @@ fn sweep_and_weighted_agree_with_library() {
         );
     }
 
-    // Weighted edges are (i, j, overlap) with overlap >= s.
+    // Weighted edges are (i, j, overlap) with overlap >= s, rendered from
+    // the sweep's L3 artifact, which carries its overlaps.
     let (status, body) = get(
         addr,
         &format!("/datasets/{name}/slg?s=3&weighted=1&limit=100000"),
     );
     assert_eq!(status, 200);
-    assert!(body.contains("\"cache\":\"miss\""));
-    let expected = algo2_slinegraph(&h, 3, &Strategy::default()).edges.len();
+    assert!(body.contains("\"cache\":\"hit\""), "{body}");
+    let (expected, _) = algo2_slinegraph_weighted(&h, 3, &Strategy::default());
     assert!(
-        body.contains(&format!("\"num_edges\":{expected}")),
+        body.contains(&format!("\"num_edges\":{}", expected.len())),
         "{body}"
     );
+    let rows: Vec<String> = expected
+        .iter()
+        .map(|(i, j, n)| format!("[{i},{j},{n}]"))
+        .collect();
+    assert!(
+        body.contains(&format!("\"edges\":[{}]", rows.join(","))),
+        "{body}"
+    );
+    handle.shutdown();
+}
+
+/// The `count` of `stage` on dataset `name` in `/debug/pipeline`.
+fn pipeline_count(addr: SocketAddr, name: &str, stage: &str) -> i128 {
+    use hyperline_server::json::Json;
+    let (status, body) = get(addr, "/debug/pipeline");
+    assert_eq!(status, 200);
+    Json::parse(&body)
+        .unwrap()
+        .get("datasets")
+        .and_then(|d| d.get(name))
+        .and_then(|d| d.get(stage))
+        .and_then(|s| s.get("count"))
+        .and_then(Json::as_int)
+        .unwrap_or(0)
+}
+
+#[test]
+fn derived_and_counted_answers_are_byte_identical() {
+    let (handle, name) = start_server("genomics", 2);
+    let addr = handle.addr();
+    // Ascending s: each L_s after the first derives from a lower one.
+    let ascending = [
+        "slg?s=2",
+        "slg?s=2&weighted=1",
+        "slg?s=3&weighted=1",
+        "components?s=3",
+        "spectrum?s=8",
+        "slg?s=8",
+        "sweep?max_s=8",
+    ];
+    // Descending s: no lower artifact exists, so each s counts.
+    let descending = [
+        "spectrum?s=8",
+        "slg?s=8",
+        "slg?s=3&weighted=1",
+        "components?s=3",
+        "slg?s=2&weighted=1",
+        "slg?s=2",
+        "sweep?max_s=8",
+    ];
+    // The /slg cache tag is the one field allowed to differ.
+    let answer = |query: &str| {
+        let (status, body) = get(addr, &format!("/datasets/{name}/{query}&limit=100000"));
+        assert_eq!(status, 200, "{query}: {body}");
+        ["miss", "hit", "coalesced"].iter().fold(body, |body, tag| {
+            body.replace(&format!("\"cache\":\"{tag}\","), "")
+        })
+    };
+    let counting = || pipeline_count(addr, &name, "counting");
+
+    let before = counting();
+    let derived: Vec<String> = ascending.iter().map(|q| answer(q)).collect();
+    // Counted at s=2 and, for the sweep, at s=1; everything else derived.
+    assert_eq!(counting() - before, 2);
+    assert!(pipeline_count(addr, &name, "derive") >= 2);
+
+    let (status, _) = post(
+        addr,
+        &format!("/datasets?profile=genomics&seed=42&name={name}"),
+    );
+    assert_eq!(status, 201);
+    let before = counting();
+    let counted: Vec<String> = descending.iter().map(|q| answer(q)).collect();
+    // Counted at s=8, 3, 2 and, for the sweep, at s=1.
+    assert_eq!(counting() - before, 4);
+
+    for (k, query) in ascending.iter().enumerate() {
+        let j = descending.iter().position(|q| q == query).unwrap();
+        assert_eq!(derived[k], counted[j], "{query}");
+    }
+    // The bodies are not trivially empty, up to L8.
+    assert!(derived[2].contains("\"edges\":[["), "{}", derived[2]);
+    assert!(derived[5].contains("\"edges\":[["), "{}", derived[5]);
     handle.shutdown();
 }
 

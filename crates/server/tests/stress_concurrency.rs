@@ -132,7 +132,7 @@ fn stress_worker_pool_survives_panicking_jobs() {
         let done = Arc::new(AtomicU64::new(0));
         let d2 = done.clone();
         let pool = WorkerPool::start(2, 8, move |job: u32| {
-            if job % 5 == 0 {
+            if job.is_multiple_of(5) {
                 panic!("poisoned job");
             }
             d2.fetch_add(1, Ordering::Relaxed);

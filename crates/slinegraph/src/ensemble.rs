@@ -67,8 +67,8 @@ pub fn ensemble_slinegraphs(
     // check under the upper triangle.
     par_sort_unstable(&mut triples);
     let per_s: Vec<(u32, Vec<(u32, u32)>)> = if s_values.len() == 1 {
-        // A single-s call (the server's artifact-cache path) gets its
-        // parallelism from chunked filtration instead of the s sweep.
+        // A single-s call gets its parallelism from chunked
+        // filtration instead of the s sweep.
         let s = s_values[0];
         vec![(
             s,

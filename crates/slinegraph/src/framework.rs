@@ -187,28 +187,6 @@ pub fn run_pipeline(h: &Hypergraph, config: &PipelineConfig) -> PipelineRun {
     }
 }
 
-/// Builds the queryable [`SLineGraph`] for *every* `s` in `s_values`
-/// from one Algorithm-3 counting pass (Stage 3 shared, Stages 4–5 per
-/// `s`). Each returned graph is identical to what
-/// [`crate::algo2_slinegraph`] + [`SLineGraph::new_squeezed`] produce for
-/// that `s` alone — which is what lets a server sweep populate the same
-/// per-s artifact cache the single-s endpoints read.
-///
-/// # Panics
-/// Panics if `s_values` is empty or contains 0 (like
-/// [`ensemble_slinegraphs`]).
-pub fn build_slinegraphs_over_s(
-    h: &Hypergraph,
-    s_values: &[u32],
-    strategy: &Strategy,
-) -> Vec<(u32, SLineGraph)> {
-    crate::ensemble_slinegraphs(h, s_values, strategy)
-        .per_s
-        .into_iter()
-        .map(|(s, edges)| (s, SLineGraph::new_squeezed(s, h.num_edges(), edges)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,26 +291,6 @@ mod tests {
         let run = run_pipeline(&h, &config);
         assert!(run.components.is_none());
         assert!(run.times.get("s-connected-components").is_none());
-    }
-
-    #[test]
-    fn build_over_s_matches_single_s_construction() {
-        let h = Hypergraph::paper_example();
-        let st = Strategy::default();
-        let many = build_slinegraphs_over_s(&h, &[1, 2, 3, 4], &st);
-        assert_eq!(many.len(), 4);
-        for (s, slg) in &many {
-            let single = SLineGraph::new_squeezed(
-                *s,
-                h.num_edges(),
-                crate::algo2_slinegraph(&h, *s, &st).edges,
-            );
-            assert_eq!(slg.s, *s);
-            assert_eq!(slg.edges, single.edges, "s={s}");
-            assert_eq!(slg.num_vertices(), single.num_vertices(), "s={s}");
-            assert_eq!(slg.num_hyperedges, h.num_edges());
-            assert!(slg.is_squeezed());
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use algorithms::{
 };
 pub use counter::CounterKind;
 pub use ensemble::{edge_counts_over_s, ensemble_slinegraphs, EnsembleResult};
-pub use framework::{build_slinegraphs_over_s, run_pipeline, PipelineConfig, PipelineRun};
+pub use framework::{run_pipeline, PipelineConfig, PipelineRun};
 pub use linegraph::SLineGraph;
 pub use partition::Partition;
 pub use sclique::{clique_expansion, sclique_edge_counts, sclique_graph};

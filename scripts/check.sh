@@ -10,7 +10,9 @@
 #      the scheduler's own engine tests, built under
 #      RUSTFLAGS="--cfg hyperline_sched" into target/sched so the
 #      shim-world artifacts never collide with the std-world cache
-#   4. cargo clippy -D warnings
+#   4. cargo clippy --workspace --all-targets -D warnings (also
+#      --fast) — every package's lib, bins, tests, benches and
+#      examples, the analyzer and the server suites included
 #   5. cargo check of hlbench/ (also --fast) — the repo benchmark is a
 #      separate Cargo workspace with path dependencies on crates/, so a
 #      public-API change it calls fails here, not first in a bench run
@@ -65,8 +67,8 @@ RUSTFLAGS="--cfg hyperline_sched" CARGO_TARGET_DIR=target/sched \
     -p hyperline-graph --test sched_frontier \
     -p hyperline-server --test sched_models
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo check hlbench/ (repo benchmark, its own workspace)"
 cargo check --offline --manifest-path hlbench/Cargo.toml
