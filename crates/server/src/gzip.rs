@@ -3,16 +3,36 @@
 //!
 //! The server negotiates `Accept-Encoding: gzip` for its streamed
 //! responses (large edge lists render straight from cached artifacts),
-//! so the encoder is a [`std::io::Write`] adapter with **bounded
-//! buffering**: input is compressed in independent 32 KiB blocks using
-//! LZ77 matching over a hash-chain table (greedy with one-position lazy
-//! evaluation, like zlib's fast levels). Each block is then emitted in
-//! whichever DEFLATE representation is smallest for its actual symbol
-//! frequencies — **dynamic Huffman** (`BTYPE=10`, the usual winner on
-//! JSON, whose digit-heavy literals cost ~4 bits instead of fixed's 8),
-//! fixed Huffman (`BTYPE=01`), or stored (`BTYPE=00`, incompressible
-//! input). Everything is hand-rolled on `std` — the same vendoring
-//! philosophy as the in-tree `rand`/`proptest`/`criterion` stand-ins.
+//! so the encoder is a [`std::io::Write`] adapter. A `write` only copies
+//! bytes into the pending 32 KiB block. Everything else runs once per
+//! block: the CRC-32, LZ77 matching, Huffman construction and bit
+//! packing, into an in-memory buffer that reaches the inner writer after
+//! the encoder's clock stops (so [`GzipWriter::finish_timed`] reports
+//! encoder time, never time blocked on the inner writer).
+//!
+//! Matching follows zlib's `deflate_fast`: greedy, over hash chains of
+//! 3-byte hashes, at most 4 candidates deep, accepting a 64-byte match
+//! at once, stepping over incompressible runs, and extending each
+//! candidate 8 bytes at a time. A 32 KiB window carries across blocks,
+//! so a match may reach into the previous block. There is one effort
+//! level.
+//!
+//! Each block is emitted in whichever DEFLATE representation is smallest
+//! for its actual symbol frequencies — **dynamic Huffman** (`BTYPE=10`,
+//! the usual winner on JSON, whose digit-heavy literals cost ~4 bits
+//! instead of fixed's 8), fixed Huffman (`BTYPE=01`), or stored
+//! (`BTYPE=00`, incompressible input). Symbols and extra bits come from
+//! compile-time tables, and each block's codes are bit-reversed once, so
+//! emitting a symbol is one OR into a 64-bit bit buffer. Everything is
+//! hand-rolled on `std` — the same vendoring philosophy as the in-tree
+//! `rand`/`proptest`/`criterion` stand-ins.
+//!
+//! **Memory per stream** is at most [`STREAM_BUFFER_BYTES`] (352 KiB):
+//! the window plus the pending block (64 KiB), the hash heads (32 KiB)
+//! and chains (64 KiB), one block's tokens (128 KiB) and its compressed
+//! bytes (64 KiB). Each grows with the input: when the whole input fits
+//! one block, the hash tables are sized to it, so a 250-byte body fills
+//! 1 KiB of them.
 //!
 //! Layering: the response writer stacks `json → GzipWriter →
 //! ChunkedWriter → socket`, so compressed bytes are chunk-framed
@@ -21,62 +41,41 @@
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
-/// Uncompressed bytes buffered per DEFLATE block. 32 KiB keeps every
-/// match distance within the format's window without tracking a sliding
-/// window across blocks, which is what bounds the encoder's memory.
-pub const BLOCK_BYTES: usize = 32 * 1024;
+/// Uncompressed bytes per DEFLATE block: the unit of all encoding work.
+const BLOCK_BYTES: usize = 32 * 1024;
+
+/// The largest match distance DEFLATE allows, and the history the
+/// encoder keeps across blocks.
+const WINDOW: usize = 32 * 1024;
+
+/// Upper bound on the heap bytes one [`GzipWriter`] holds (see the
+/// module doc for the parts).
+pub const STREAM_BUFFER_BYTES: usize =
+    (WINDOW + BLOCK_BYTES) + 2 * (1 << HASH_BITS) + 2 * WINDOW + 4 * BLOCK_BYTES + 2 * BLOCK_BYTES;
 
 const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
+/// log2 of the largest hash-head table.
 const HASH_BITS: u32 = 14;
-const HASH_SIZE: usize = 1 << HASH_BITS;
-const NO_POS: u32 = u32::MAX;
+/// Smallest hash-head and chain table, for tiny inputs.
+const MIN_TABLE: usize = 64;
+/// Candidates a match search visits. On five captured edge-list and
+/// component bodies, 4 in place of 16 changed output by −1.2% to +2.1%
+/// and cut matching time by more than half.
+const CHAIN_DEPTH: usize = 4;
+/// A match at least this long is accepted without searching deeper.
+const GOOD_LEN: usize = 64;
+/// After this many consecutive literals, start stepping over input.
+const SKIP_AFTER: usize = 64;
 
-/// How hard the LZ77 stage works. `Default` is the archival setting;
-/// `Fast` trades ~10% ratio for several-fold encode throughput, which is
-/// the right trade on streamed responses where encode time is
-/// first-byte latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The encoder's one effort level. Kept only because the repository
+/// benchmark (`hlbench/src/trace.rs`) calls
+/// `compress_with(body, Effort::Fast)`; the next change to the benchmark
+/// removes it, together with [`compress_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Greedy matching, short hash chains, early exit on good-enough
-    /// matches, and skip-ahead through incompressible runs — the zlib
-    /// "fast level" playbook.
+    /// Greedy matching over short hash chains (see the module doc).
     Fast,
-    /// Lazy matching over deep hash chains (the original tuning).
-    #[default]
-    Default,
-}
-
-/// Match-search knobs derived from an [`Effort`].
-struct MatchParams {
-    /// How many previous candidate positions a match search visits.
-    chain_depth: usize,
-    /// Evaluate position `i + 1` before committing a match at `i`.
-    lazy: bool,
-    /// A match at least this long is accepted without searching deeper.
-    good_len: usize,
-    /// After this many consecutive literal misses, start stepping over
-    /// input (emitting skipped bytes as literals); `usize::MAX` disables.
-    skip_after: usize,
-}
-
-impl Effort {
-    fn params(self) -> MatchParams {
-        match self {
-            Effort::Fast => MatchParams {
-                chain_depth: 16,
-                lazy: false,
-                good_len: 64,
-                skip_after: 64,
-            },
-            Effort::Default => MatchParams {
-                chain_depth: 128,
-                lazy: true,
-                good_len: MAX_MATCH,
-                skip_after: usize::MAX,
-            },
-        }
-    }
 }
 
 /// Literal/length alphabet size (symbols 286/287 are reserved).
@@ -112,10 +111,80 @@ const DIST_EXTRA: [u32; 30] = [
     13,
 ];
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Length-code index (symbol `257 + index`) of every match length
+/// `3..=MAX_MATCH`, built at compile time.
+const LENGTH_INDEX: [u8; MAX_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut code = 0;
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        while code + 1 < LENGTH_BASE.len() && LENGTH_BASE[code + 1] as usize <= len {
+            code += 1;
+        }
+        table[len] = code as u8;
+        len += 1;
+    }
+    table
+};
+
+/// Distance code of every distance, zlib's split table: entry `d` for
+/// `d = dist - 1 < 256`, and entry `256 + (d >> 7)` above, where every
+/// code's base is a multiple of 128 (plus one).
+const DIST_INDEX: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    let mut d = 0;
+    while d < 256 {
+        while code + 1 < DIST_BASE.len() && DIST_BASE[code + 1] as usize <= d + 1 {
+            code += 1;
+        }
+        table[d] = code as u8;
+        d += 1;
+    }
+    let mut high = 256 >> 7;
+    while high < 256 {
+        while code + 1 < DIST_BASE.len() && DIST_BASE[code + 1] as usize <= (high << 7) + 1 {
+            code += 1;
+        }
+        table[256 + high] = code as u8;
+        high += 1;
+    }
+    table
+};
+
+/// The litlen symbol, extra-bit value and extra-bit count of a match
+/// length (`3..=MAX_MATCH`).
+fn length_symbol(len: usize) -> (usize, u32, u32) {
+    let li = usize::from(LENGTH_INDEX[len]);
+    (
+        257 + li,
+        (len - usize::from(LENGTH_BASE[li])) as u32,
+        LENGTH_EXTRA[li],
+    )
+}
+
+/// The distance symbol, extra-bit value and extra-bit count of a match
+/// distance (`1..=WINDOW`).
+fn dist_symbol(dist: usize) -> (usize, u32, u32) {
+    let d = dist - 1;
+    let di = usize::from(if d < 256 {
+        DIST_INDEX[d]
+    } else {
+        DIST_INDEX[256 + (d >> 7)]
+    });
+    (
+        di,
+        (dist - usize::from(DIST_BASE[di])) as u32,
+        DIST_EXTRA[di],
+    )
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables
+/// for slicing by 8, built at compile time: `CRC_TABLES[0]` is the
+/// byte-at-a-time table, and `CRC_TABLES[k][n]` is the CRC of byte `n`
+/// followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -128,16 +197,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// Continues a CRC-32 over `data`, eight bytes per step.
 fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !crc;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -146,68 +240,51 @@ fn crc32_update(crc: u32, data: &[u8]) -> u32 {
 // Bit-level output
 // ---------------------------------------------------------------------
 
-/// LSB-first bit packer feeding an inner [`Write`] through a small
-/// fixed-size byte buffer (DEFLATE packs bits least-significant-first;
-/// Huffman codes go in bit-reversed).
-struct BitWriter<W: Write> {
-    inner: W,
-    bitbuf: u64,
-    nbits: u32,
+/// LSB-first bit packer into an in-memory byte buffer (DEFLATE packs
+/// bits least-significant-first; Huffman codes go in bit-reversed).
+/// At most 63 bits may be pending: the token loop flushes whenever 16 or
+/// more are, and one match puts at most 48.
+struct BitWriter {
     out: Vec<u8>,
+    bits: u64,
+    nbits: u32,
 }
 
-impl<W: Write> BitWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            bitbuf: 0,
-            nbits: 0,
-            out: Vec::with_capacity(4096),
-        }
-    }
-
+impl BitWriter {
     /// Appends `count` bits of `value`, LSB first.
-    fn write_bits(&mut self, value: u32, count: u32) -> io::Result<()> {
-        debug_assert!(count <= 16 && u64::from(value) < (1u64 << count));
-        self.bitbuf |= u64::from(value) << self.nbits;
+    #[inline]
+    fn put(&mut self, value: u32, count: u32) {
+        debug_assert!(self.nbits + count < 64 && u64::from(value) < (1u64 << count));
+        self.bits |= u64::from(value) << self.nbits;
         self.nbits += count;
-        while self.nbits >= 8 {
-            self.out.push((self.bitbuf & 0xff) as u8);
-            self.bitbuf >>= 8;
-            self.nbits -= 8;
-        }
-        if self.out.len() >= 4096 - 8 {
-            self.inner.write_all(&self.out)?;
-            self.out.clear();
-        }
-        Ok(())
     }
 
-    /// Appends a Huffman code, which the format stores MSB-first.
-    fn write_code(&mut self, code: u32, count: u32) -> io::Result<()> {
-        self.write_bits(code.reverse_bits() >> (32 - count), count)
+    /// Moves every whole pending byte to `out`: one 8-byte store, then
+    /// the length is cut back to the bytes that were complete.
+    #[inline]
+    fn flush_bytes(&mut self) {
+        let whole = self.nbits / 8;
+        self.out.extend_from_slice(&self.bits.to_le_bytes());
+        self.out.truncate(self.out.len() - 8 + whole as usize);
+        self.bits >>= whole * 8;
+        self.nbits -= whole * 8;
     }
 
-    /// Pads the current byte with zero bits.
-    fn align_byte(&mut self) -> io::Result<()> {
-        if self.nbits > 0 {
-            self.write_bits(0, 8 - self.nbits)?;
-        }
-        Ok(())
+    /// Appends a few header bits and flushes.
+    fn write_bits(&mut self, value: u32, count: u32) {
+        self.put(value, count);
+        self.flush_bytes();
     }
 
-    /// Writes raw bytes (caller must be byte-aligned).
-    fn write_bytes(&mut self, data: &[u8]) -> io::Result<()> {
+    /// Pads the current byte with zero bits and flushes it.
+    fn align_byte(&mut self) {
+        self.write_bits(0, (8 - self.nbits % 8) % 8);
+    }
+
+    /// Appends raw bytes (the caller has aligned to a byte).
+    fn write_bytes(&mut self, data: &[u8]) {
         debug_assert_eq!(self.nbits, 0);
-        self.inner.write_all(&self.out)?;
-        self.out.clear();
-        self.inner.write_all(data)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.write_all(&self.out)?;
-        self.out.clear();
-        self.inner.flush()
+        self.out.extend_from_slice(data);
     }
 }
 
@@ -220,156 +297,194 @@ impl<W: Write> BitWriter<W> {
 type Token = u32;
 const MATCH_FLAG: u32 = 1 << 23;
 
-fn literal_token(byte: u8) -> Token {
-    u32::from(byte)
-}
-
 fn match_token(len: usize, dist: usize) -> Token {
+    debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len) && (1..=WINDOW).contains(&dist));
     MATCH_FLAG | (((len - MIN_MATCH) as u32) << 15) | ((dist - 1) as u32)
 }
 
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = u32::from(data[i]) | (u32::from(data[i + 1]) << 8) | (u32::from(data[i + 2]) << 16);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
-}
-
-/// The litlen symbol + extra bits of a match length.
-fn length_code(len: usize) -> (usize, u32, u32) {
-    let li = LENGTH_BASE
-        .iter()
-        .rposition(|&b| usize::from(b) <= len)
-        .expect("length >= 3");
+/// The `(length, distance)` of a match token.
+fn match_of(token: Token) -> (usize, usize) {
     (
-        257 + li,
-        (len - usize::from(LENGTH_BASE[li])) as u32,
-        LENGTH_EXTRA[li],
+        ((token >> 15) & 0xff) as usize + MIN_MATCH,
+        (token & 0x7fff) as usize + 1,
     )
 }
 
-/// The distance symbol + extra bits of a match distance.
-fn dist_code(dist: usize) -> (usize, u32, u32) {
-    let di = DIST_BASE
-        .iter()
-        .rposition(|&b| usize::from(b) <= dist)
-        .expect("distance >= 1");
-    (
-        di,
-        (dist - usize::from(DIST_BASE[di])) as u32,
-        DIST_EXTRA[di],
-    )
+/// Eight bytes of `bytes` at `at`, little-endian.
+#[inline]
+fn load_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
-/// Greedy LZ77 with optional one-position lazy evaluation over a
-/// hash-chain table, confined to `data` (so every distance fits the
-/// window). The [`MatchParams`] decide chain depth, laziness and
-/// skip-ahead; every setting produces a valid token stream — effort only
-/// moves the ratio/throughput trade.
-fn tokenize(data: &[u8], p: &MatchParams) -> Vec<Token> {
-    fn insert(data: &[u8], head: &mut [u32; HASH_SIZE], prev: &mut [u32], i: usize) {
-        let h = hash3(data, i);
-        prev[i] = head[h];
-        head[h] = i as u32;
+/// How many leading bytes of `a` and `b` agree, up to `limit`: 8 bytes
+/// at a time (the first differing byte is the lowest set byte of the
+/// XOR), then byte by byte for the tail.
+#[inline]
+fn match_len(a: &[u8], b: &[u8], limit: usize) -> usize {
+    let (a, b) = (&a[..limit], &b[..limit]);
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = load_u64(a, len) ^ load_u64(b, len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && a[len] == b[len] {
+        len += 1;
+    }
+    len
+}
+
+/// Hash-chain match finder over the stream's window, kept for the whole
+/// stream. Positions index the window; 0 doubles as "none", so position
+/// 0 of a stream is never a match source.
+struct Matcher {
+    /// Latest position of each 3-byte hash.
+    head: Vec<u16>,
+    /// The previous position with the same hash, at `position & chain_mask`.
+    chain: Vec<u16>,
+    chain_mask: usize,
+    hash_shift: u32,
+}
+
+impl Matcher {
+    /// A matcher for a stream whose positions before the first slide
+    /// span `span` bytes: the first block's length when it is also the
+    /// last, else the whole window.
+    fn new(span: usize) -> Self {
+        let size = span.next_power_of_two().clamp(MIN_TABLE, WINDOW);
+        let hash_bits = size.trailing_zeros().min(HASH_BITS);
+        Matcher {
+            head: vec![0; 1 << hash_bits],
+            chain: vec![0; size],
+            chain_mask: size - 1,
+            hash_shift: 32 - hash_bits,
+        }
     }
 
-    /// Longest match for position `i` among the hash chain's candidates.
-    fn find_match(
-        data: &[u8],
-        head: &[u32; HASH_SIZE],
-        prev: &[u32],
-        i: usize,
-        p: &MatchParams,
-    ) -> (usize, usize) {
-        let (mut best_len, mut best_dist) = (0usize, 0usize);
-        if i + MIN_MATCH > data.len() {
-            return (0, 0);
-        }
-        let limit = (data.len() - i).min(MAX_MATCH);
-        let mut cand = head[hash3(data, i)];
-        let mut depth = p.chain_depth;
-        while cand != NO_POS && depth > 0 {
-            let c = cand as usize;
-            let mut l = 0;
-            while l < limit && data[c + l] == data[i + l] {
-                l += 1;
+    /// Hash of the 3 bytes at `i`: one 4-byte load where it fits.
+    #[inline]
+    fn hash(&self, window: &[u8], i: usize) -> usize {
+        let v = match window.get(i..i + 4) {
+            Some(w) => u32::from_le_bytes([w[0], w[1], w[2], w[3]]) & 0xff_ffff,
+            None => u32::from_le_bytes([window[i], window[i + 1], window[i + 2], 0]),
+        };
+        (v.wrapping_mul(0x9E37_79B1) >> self.hash_shift) as usize
+    }
+
+    /// Makes `i`, whose hash is `h`, the newest position of its chain.
+    #[inline]
+    fn insert_hashed(&mut self, i: usize, h: usize) {
+        self.chain[i & self.chain_mask] = self.head[h];
+        // Window positions are below WINDOW + BLOCK_BYTES = 2^16.
+        self.head[h] = i as u16;
+    }
+
+    #[inline]
+    fn insert(&mut self, window: &[u8], i: usize) {
+        self.insert_hashed(i, self.hash(window, i));
+    }
+
+    /// Longest match for position `i` (whose hash is `h`) among the
+    /// chain's candidates that lie within [`WINDOW`]. The chain only ever
+    /// steps to older positions, so the first one out of reach ends the
+    /// search.
+    #[inline]
+    fn find_match(&self, window: &[u8], i: usize, h: usize) -> (usize, usize) {
+        let limit = (window.len() - i).min(MAX_MATCH);
+        // The oldest position a match may start at (0 is "none").
+        let oldest = i.saturating_sub(WINDOW).max(1);
+        let here = &window[i..];
+        let (mut best_len, mut best_dist) = (0, 0);
+        let mut cand = usize::from(self.head[h]);
+        for _ in 0..CHAIN_DEPTH {
+            if cand < oldest {
+                break;
             }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l == limit || l >= p.good_len {
-                    break;
+            // Only a candidate that agrees at `best_len` can beat it.
+            if window[cand + best_len] == here[best_len] {
+                let len = match_len(&window[cand..], here, limit);
+                if len > best_len {
+                    best_len = len;
+                    best_dist = i - cand;
+                    if len == limit || len >= GOOD_LEN {
+                        break;
+                    }
                 }
             }
-            cand = prev[c];
-            depth -= 1;
+            cand = usize::from(self.chain[cand & self.chain_mask]);
         }
         (best_len, best_dist)
     }
 
-    let mut tokens = Vec::with_capacity(data.len() / 3 + 16);
-    let mut head = [NO_POS; HASH_SIZE];
-    let mut prev = vec![NO_POS; data.len()];
-    // Last position with MIN_MATCH bytes left to hash (exclusive).
-    let hashable = data.len().saturating_sub(MIN_MATCH - 1);
-    let mut i = 0;
-    // Consecutive positions that produced no match — drives skip-ahead.
-    let mut miss_run = 0usize;
-    while i < data.len() {
-        let (mut best_len, mut best_dist) = find_match(data, &head, &prev, i, p);
-        if best_len >= MIN_MATCH {
-            miss_run = 0;
-            // Lazy evaluation: when the next position matches longer,
-            // emit this byte as a literal and take the later match.
-            // (The greedy fast path skips the second search entirely.)
-            if p.lazy && best_len < p.good_len && i < hashable {
-                insert(data, &mut head, &mut prev, i);
-                let (next_len, next_dist) = find_match(data, &head, &prev, i + 1, p);
-                if next_len > best_len {
-                    tokens.push(literal_token(data[i]));
-                    i += 1;
-                    (best_len, best_dist) = (next_len, next_dist);
-                    if i < hashable {
-                        insert(data, &mut head, &mut prev, i);
-                    }
-                }
-            } else if i < hashable {
-                insert(data, &mut head, &mut prev, i);
-            }
-            // Emit the match; its head is hashed above, chain the body
-            // (cheap, and later matches can anchor inside it).
-            tokens.push(match_token(best_len, best_dist));
-            let next = i + best_len;
-            i += 1;
-            while i < next.min(hashable) {
-                insert(data, &mut head, &mut prev, i);
-                i += 1;
-            }
-            i = next;
-        } else {
-            tokens.push(literal_token(data[i]));
+    /// Greedy LZ77 over `window[start..]`, matching into the whole
+    /// window. Positions are hashed as they are passed; the last two of
+    /// the previous block are hashed here, now that their bytes exist.
+    fn tokenize(&mut self, window: &[u8], start: usize, tokens: &mut Vec<Token>) {
+        let end = window.len();
+        // At most one token per byte.
+        tokens.clear();
+        tokens.reserve(end - start);
+        // Positions with MIN_MATCH bytes left to hash end here (exclusive).
+        let hashable = end.saturating_sub(MIN_MATCH - 1);
+        for p in start.saturating_sub(MIN_MATCH - 1)..start.min(hashable) {
+            self.insert(window, p);
+        }
+        let mut i = start;
+        // Consecutive literals, which drive skip-ahead.
+        let mut miss_run = 0usize;
+        while i < end {
             if i < hashable {
-                insert(data, &mut head, &mut prev, i);
-            }
-            i += 1;
-            miss_run += 1;
-            if miss_run >= p.skip_after {
-                // Incompressible run: step over input, emitting skipped
-                // bytes as literals without match searches. The step
-                // grows with the run (capped), zlib/libdeflate-style.
-                let step = ((miss_run - p.skip_after) >> 5).min(7);
-                for _ in 0..step {
-                    if i >= data.len() {
-                        break;
-                    }
-                    tokens.push(literal_token(data[i]));
-                    if i < hashable {
-                        insert(data, &mut head, &mut prev, i);
-                    }
+                let h = self.hash(window, i);
+                let (len, dist) = self.find_match(window, i, h);
+                self.insert_hashed(i, h);
+                if len >= MIN_MATCH {
+                    miss_run = 0;
+                    tokens.push(match_token(len, dist));
+                    // Hash the match's body too: later matches can anchor
+                    // inside it.
+                    let next = i + len;
                     i += 1;
+                    while i < next.min(hashable) {
+                        self.insert(window, i);
+                        i += 1;
+                    }
+                    i = next;
+                    continue;
                 }
+            }
+            // Incompressible run: after SKIP_AFTER literals, step over
+            // input without match searches, emitting the skipped bytes as
+            // literals. The step grows with the run (capped),
+            // zlib/libdeflate-style.
+            miss_run += 1;
+            let skip = if miss_run >= SKIP_AFTER {
+                ((miss_run - SKIP_AFTER) >> 5).min(7)
+            } else {
+                0
+            };
+            tokens.push(Token::from(window[i]));
+            i += 1;
+            for _ in 0..skip.min(end - i) {
+                tokens.push(Token::from(window[i]));
+                if i < hashable {
+                    self.insert(window, i);
+                }
+                i += 1;
             }
         }
     }
-    tokens
+
+    /// Moves every position down by [`WINDOW`] after the window slides;
+    /// positions that leave it become "none".
+    fn slide(&mut self) {
+        for pos in self.head.iter_mut().chain(self.chain.iter_mut()) {
+            *pos = pos.saturating_sub(WINDOW as u16);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -392,35 +507,41 @@ fn huffman_lengths(freqs: &[u32], max_bits: usize) -> Vec<u8> {
         }
         _ => {}
     }
-    // Build the Huffman tree bottom-up over (freq, node) pairs; ties
-    // break on node index so output is deterministic.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> = used
-        .iter()
-        .map(|&s| std::cmp::Reverse((u64::from(freqs[s]), s)))
-        .collect();
-    let mut parent = vec![usize::MAX; n + used.len()];
-    let mut next_node = n;
-    while heap.len() > 1 {
-        let std::cmp::Reverse((fa, a)) = heap.pop().unwrap();
-        let std::cmp::Reverse((fb, b)) = heap.pop().unwrap();
-        parent[a] = next_node;
-        parent[b] = next_node;
-        heap.push(std::cmp::Reverse((fa + fb, next_node)));
-        next_node += 1;
+    // Two-queue Huffman construction: with the leaves sorted by weight
+    // (ties on symbol, for deterministic output), merged nodes are made
+    // in nondecreasing weight order, so the two lightest nodes are
+    // always at the fronts of the leaf run and the merged run. Nodes
+    // 0..m are the leaves, m.. the merges; the root is made last.
+    used.sort_unstable_by_key(|&s| (freqs[s], s));
+    let m = used.len();
+    let mut weight: Vec<u64> = used.iter().map(|&s| u64::from(freqs[s])).collect();
+    let mut parent = vec![0usize; 2 * m - 1];
+    let (mut leaf, mut merged) = (0, m);
+    for node in m..2 * m - 1 {
+        let mut sum = 0;
+        for _ in 0..2 {
+            let child = if leaf < m && (merged == node || weight[leaf] <= weight[merged]) {
+                leaf += 1;
+                leaf - 1
+            } else {
+                merged += 1;
+                merged - 1
+            };
+            parent[child] = node;
+            sum += weight[child];
+        }
+        weight.push(sum);
     }
-    let root = heap.pop().unwrap().0 .1;
-    // Leaf depths by walking parent links (tree height ≤ used.len());
+    // Depths from the root down (a parent is made after its children);
     // the count array spans tree depths *and* the 1..=max_bits range the
     // redistribution and assignment loops index.
-    let mut bl_count = vec![0usize; used.len().max(max_bits) + 1];
-    for &sym in &used {
-        let mut depth = 0;
-        let mut node = sym;
-        while node != root {
-            node = parent[node];
-            depth += 1;
+    let mut depth = vec![0usize; 2 * m - 1];
+    let mut bl_count = vec![0usize; m.max(max_bits) + 1];
+    for node in (0..2 * m - 2).rev() {
+        depth[node] = depth[parent[node]] + 1;
+        if node < m {
+            bl_count[depth[node].min(max_bits)] += 1;
         }
-        bl_count[depth.min(max_bits)] += 1;
     }
     // Clamping over-deep leaves to max_bits overfills the code: the
     // Kraft sum K = Σ count[bits]·2^(max_bits − bits) exceeds 2^max_bits
@@ -443,9 +564,8 @@ fn huffman_lengths(freqs: &[u32], max_bits: usize) -> Vec<u8> {
         bl_count[max_bits] -= 1;
         excess -= 1;
     }
-    // Reassign the length multiset: least frequent symbols get the
-    // longest codes (stable on symbol index for determinism).
-    used.sort_by_key(|&s| (freqs[s], s));
+    // Reassign the length multiset: least frequent symbols (first in
+    // `used`) get the longest codes.
     let mut slot = 0;
     for bits in (1..=max_bits).rev() {
         for _ in 0..bl_count[bits] {
@@ -487,6 +607,21 @@ fn canonical_codes(lengths: &[u8]) -> Vec<u16> {
                 next_code[usize::from(l)] += 1;
                 c
             }
+        })
+        .collect()
+}
+
+/// `(bit-reversed code, length)` per symbol, ready for LSB-first packing.
+fn packed_codes(lengths: &[u8]) -> Vec<(u32, u32)> {
+    canonical_codes(lengths)
+        .iter()
+        .zip(lengths)
+        .map(|(&code, &len)| match len {
+            0 => (0, 0),
+            _ => (
+                u32::from(code).reverse_bits() >> (32 - u32::from(len)),
+                u32::from(len),
+            ),
         })
         .collect()
 }
@@ -554,16 +689,8 @@ fn rle_lengths(lengths: &[u8], items: &mut Vec<ClItem>, cl_freqs: &mut [u32; NUM
 // Block emission
 // ---------------------------------------------------------------------
 
-/// Everything needed to emit one block's tokens under some code pair.
-struct CodePair {
-    litlen_lengths: Vec<u8>,
-    litlen_codes: Vec<u16>,
-    dist_lengths: Vec<u8>,
-    dist_codes: Vec<u16>,
-}
-
 /// Cost in bits of emitting `freqs`-distributed symbols under `lengths`
-/// (plus the per-symbol extra bits in `extra`).
+/// (extra bits not included).
 fn symbol_cost(freqs: &[u32], lengths: &[u8]) -> u64 {
     freqs
         .iter()
@@ -572,33 +699,24 @@ fn symbol_cost(freqs: &[u32], lengths: &[u8]) -> u64 {
         .sum()
 }
 
-/// Compresses one block (`data.len() <= BLOCK_BYTES`), choosing the
-/// smallest of stored / fixed / dynamic representations.
-fn deflate_block<W: Write>(
-    bits: &mut BitWriter<W>,
-    data: &[u8],
-    last: bool,
-    effort: Effort,
-) -> io::Result<()> {
-    debug_assert!(data.len() <= BLOCK_BYTES);
-    let tokens = tokenize(data, &effort.params());
-
+/// Emits one block's tokens (over `block`, its uncompressed bytes) in
+/// the smallest of the stored / fixed / dynamic representations.
+fn deflate_block(bits: &mut BitWriter, block: &[u8], tokens: &[Token], last: bool) {
     // Symbol frequencies (extra bits counted separately since they are
     // representation-independent).
-    let mut litlen_freqs = vec![0u32; NUM_LITLEN];
-    let mut dist_freqs = vec![0u32; NUM_DIST];
+    let mut litlen_freqs = [0u32; NUM_LITLEN];
+    let mut dist_freqs = [0u32; NUM_DIST];
     let mut extra_cost = 0u64;
-    for &t in &tokens {
+    for &t in tokens {
         if t & MATCH_FLAG == 0 {
-            litlen_freqs[(t & 0xff) as usize] += 1;
+            litlen_freqs[t as usize] += 1;
         } else {
-            let len = ((t >> 15) & 0xff) as usize + MIN_MATCH;
-            let dist = (t & 0x7fff) as usize + 1;
-            let (ls, _, le) = length_code(len);
-            let (ds, _, de) = dist_code(dist);
+            let (len, dist) = match_of(t);
+            let (ls, _, le) = length_symbol(len);
+            let (ds, _, de) = dist_symbol(dist);
             litlen_freqs[ls] += 1;
             dist_freqs[ds] += 1;
-            extra_cost += u64::from(le) + u64::from(de);
+            extra_cost += u64::from(le + de);
         }
     }
     litlen_freqs[256] += 1; // end-of-block
@@ -618,7 +736,6 @@ fn deflate_block<W: Write>(
     rle_lengths(&dyn_litlen[..hlit], &mut cl_items, &mut cl_freqs);
     rle_lengths(&dyn_dist[..hdist], &mut cl_items, &mut cl_freqs);
     let cl_lengths = huffman_lengths(&cl_freqs, MAX_CL_BITS);
-    let cl_codes = canonical_codes(&cl_lengths);
     let hclen = CL_ORDER
         .iter()
         .rposition(|&s| cl_lengths[s] > 0)
@@ -641,87 +758,58 @@ fn deflate_block<W: Write>(
     let fixed_litlen = fixed_litlen_lengths();
     let fixed_cost = symbol_cost(&litlen_freqs, &fixed_litlen)
         + dist_freqs.iter().map(|&f| u64::from(f) * 5).sum::<u64>();
-    let stored_cost = 7 + 32 + 8 * data.len() as u64;
+    let stored_cost = 7 + 32 + 8 * block.len() as u64;
 
-    bits.write_bits(u32::from(last), 1)?; // BFINAL
+    bits.write_bits(u32::from(last), 1); // BFINAL
     if stored_cost < (dynamic_cost + extra_cost).min(fixed_cost + extra_cost) {
-        bits.write_bits(0b00, 2)?;
-        bits.align_byte()?;
-        let len = data.len() as u16;
-        bits.write_bytes(&len.to_le_bytes())?;
-        bits.write_bytes(&(!len).to_le_bytes())?;
-        bits.write_bytes(data)?;
-        return Ok(());
+        bits.write_bits(0b00, 2);
+        bits.align_byte();
+        let len = block.len() as u16;
+        bits.write_bytes(&len.to_le_bytes());
+        bits.write_bytes(&(!len).to_le_bytes());
+        bits.write_bytes(block);
+        return;
     }
 
-    let pair = if dynamic_cost < fixed_cost {
-        bits.write_bits(0b10, 2)?;
-        bits.write_bits((hlit - 257) as u32, 5)?;
-        bits.write_bits((hdist - 1) as u32, 5)?;
-        bits.write_bits((hclen - 4) as u32, 4)?;
+    let (litlen, dist) = if dynamic_cost < fixed_cost {
+        bits.write_bits(0b10, 2);
+        bits.write_bits((hlit - 257) as u32, 5);
+        bits.write_bits((hdist - 1) as u32, 5);
+        bits.write_bits((hclen - 4) as u32, 4);
         for &s in &CL_ORDER[..hclen] {
-            bits.write_bits(u32::from(cl_lengths[s]), 3)?;
+            bits.write_bits(u32::from(cl_lengths[s]), 3);
         }
+        let cl_codes = packed_codes(&cl_lengths);
         for &(s, extra, extra_bits) in &cl_items {
-            let s = usize::from(s);
-            bits.write_code(u32::from(cl_codes[s]), u32::from(cl_lengths[s]))?;
-            if extra_bits > 0 {
-                bits.write_bits(extra, extra_bits)?;
-            }
+            let (code, len) = cl_codes[usize::from(s)];
+            bits.write_bits(code | (extra << len), len + extra_bits);
         }
-        let litlen_codes = canonical_codes(&dyn_litlen);
-        let dist_codes = canonical_codes(&dyn_dist);
-        CodePair {
-            litlen_lengths: dyn_litlen,
-            litlen_codes,
-            dist_lengths: dyn_dist,
-            dist_codes,
-        }
+        (packed_codes(&dyn_litlen), packed_codes(&dyn_dist))
     } else {
-        bits.write_bits(0b01, 2)?;
-        let litlen_codes = canonical_codes(&fixed_litlen);
-        let dist_lengths = vec![5u8; 32];
-        let dist_codes = canonical_codes(&dist_lengths);
-        CodePair {
-            litlen_lengths: fixed_litlen,
-            litlen_codes,
-            dist_lengths,
-            dist_codes,
-        }
+        bits.write_bits(0b01, 2);
+        (packed_codes(&fixed_litlen), packed_codes(&[5u8; 32]))
     };
-
-    for &t in &tokens {
+    for &t in tokens {
+        // A match puts at most 15 + 5 + 15 + 13 = 48 bits.
+        if bits.nbits >= 16 {
+            bits.flush_bytes();
+        }
         if t & MATCH_FLAG == 0 {
-            let s = (t & 0xff) as usize;
-            bits.write_code(
-                u32::from(pair.litlen_codes[s]),
-                u32::from(pair.litlen_lengths[s]),
-            )?;
+            let (code, len) = litlen[t as usize];
+            bits.put(code, len);
         } else {
-            let len = ((t >> 15) & 0xff) as usize + MIN_MATCH;
-            let dist = (t & 0x7fff) as usize + 1;
-            let (ls, lextra, lbits) = length_code(len);
-            bits.write_code(
-                u32::from(pair.litlen_codes[ls]),
-                u32::from(pair.litlen_lengths[ls]),
-            )?;
-            if lbits > 0 {
-                bits.write_bits(lextra, lbits)?;
-            }
-            let (ds, dextra, dbits) = dist_code(dist);
-            bits.write_code(
-                u32::from(pair.dist_codes[ds]),
-                u32::from(pair.dist_lengths[ds]),
-            )?;
-            if dbits > 0 {
-                bits.write_bits(dextra, dbits)?;
-            }
+            let (len, d) = match_of(t);
+            let (ls, extra, extra_bits) = length_symbol(len);
+            let (code, code_bits) = litlen[ls];
+            bits.put(code | (extra << code_bits), code_bits + extra_bits);
+            let (ds, extra, extra_bits) = dist_symbol(d);
+            let (code, code_bits) = dist[ds];
+            bits.put(code | (extra << code_bits), code_bits + extra_bits);
         }
     }
-    bits.write_code(
-        u32::from(pair.litlen_codes[256]),
-        u32::from(pair.litlen_lengths[256]),
-    ) // end of block
+    bits.flush_bytes();
+    let (code, len) = litlen[256]; // end of block
+    bits.write_bits(code, len);
 }
 
 // ---------------------------------------------------------------------
@@ -729,46 +817,53 @@ fn deflate_block<W: Write>(
 // ---------------------------------------------------------------------
 
 /// A streaming gzip encoder: a [`Write`] adapter that compresses into
-/// its inner writer with bounded buffering (one [`BLOCK_BYTES`] input
-/// block plus a small bit buffer). Call [`GzipWriter::finish`] to flush
-/// the final block and trailer — dropping without finishing truncates
-/// the stream.
+/// its inner writer, one 32 KiB block at a time, holding at
+/// most [`STREAM_BUFFER_BYTES`]. Call [`GzipWriter::finish`] to emit the
+/// final block and trailer — dropping without finishing truncates the
+/// stream.
 pub struct GzipWriter<W: Write> {
-    bits: BitWriter<W>,
-    buf: Vec<u8>,
+    inner: W,
+    /// The last (up to) [`WINDOW`] bytes already encoded, which matches
+    /// may reach into, then the pending block from `block_start`.
+    window: Vec<u8>,
+    block_start: usize,
+    /// Allocated by the first block, and sized by it.
+    matcher: Option<Matcher>,
+    /// The current block's tokens (reused across blocks).
+    tokens: Vec<Token>,
+    /// Compressed bytes not yet handed to `inner`.
+    bits: BitWriter,
     crc: u32,
     total_in: u64,
-    effort: Effort,
-    /// Wall time spent inside the encoder (CRC, LZ77, Huffman, bit
-    /// packing *and* the inner writes it performs). Server metrics feed
-    /// this into the `gzip_encode` histogram via
-    /// [`GzipWriter::finish_timed`].
+    /// Wall time spent encoding blocks: CRC, LZ77, Huffman and bit
+    /// packing, not the inner writes. Server metrics feed this into the
+    /// `gzip_encode` histogram via [`GzipWriter::finish_timed`].
     spent: Duration,
 }
 
 impl<W: Write> GzipWriter<W> {
-    /// Starts a gzip stream on `inner` (writes the 10-byte header) at
-    /// [`Effort::Default`].
-    pub fn new(inner: W) -> io::Result<Self> {
-        Self::with_effort(inner, Effort::Default)
-    }
-
-    /// Starts a gzip stream at the given effort level. Streamed server
-    /// responses use [`Effort::Fast`]: encode time there is first-byte
-    /// latency, and the fast level trades a small ratio loss for a
-    /// several-fold encode speedup.
-    pub fn with_effort(mut inner: W, effort: Effort) -> io::Result<Self> {
+    /// Starts a gzip stream on `inner`. The 10-byte header goes out with
+    /// the first block.
+    pub fn new(inner: W) -> Self {
         // magic, CM=8 (deflate), FLG=0, MTIME=0 (deterministic output),
         // XFL=0, OS=255 (unknown).
-        inner.write_all(&[0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff])?;
-        Ok(Self {
-            bits: BitWriter::new(inner),
-            buf: Vec::with_capacity(BLOCK_BYTES),
+        let mut out = Vec::with_capacity(64);
+        out.extend_from_slice(&[0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff]);
+        Self {
+            inner,
+            window: Vec::new(),
+            block_start: 0,
+            matcher: None,
+            tokens: Vec::new(),
+            bits: BitWriter {
+                out,
+                bits: 0,
+                nbits: 0,
+            },
             crc: 0,
             total_in: 0,
-            effort,
             spent: Duration::ZERO,
-        })
+        }
     }
 
     /// Compresses the final block (even when empty), writes the CRC32 +
@@ -778,69 +873,98 @@ impl<W: Write> GzipWriter<W> {
     }
 
     /// Like [`GzipWriter::finish`], but also reports the total wall time
-    /// this encoder spent compressing (across every `write` plus the
-    /// final block). The server records it into its `gzip_encode`
-    /// latency histogram.
+    /// spent encoding blocks (CRC, LZ77, Huffman and bit packing; not the
+    /// copies into the block buffer and not the inner writes, which may
+    /// block on a slow consumer). The server records it into its
+    /// `gzip_encode` latency histogram.
     pub fn finish_timed(mut self) -> io::Result<(W, Duration)> {
-        let started = Instant::now();
-        deflate_block(&mut self.bits, &self.buf, true, self.effort)?;
-        self.bits.align_byte()?;
-        let mut trailer = [0u8; 8];
-        trailer[..4].copy_from_slice(&self.crc.to_le_bytes());
-        trailer[4..].copy_from_slice(&(self.total_in as u32).to_le_bytes());
-        self.bits.write_bytes(&trailer)?;
-        self.bits.flush()?;
-        let spent = self.spent + started.elapsed();
-        Ok((self.bits.inner, spent))
+        self.encode_block(true)?;
+        self.inner.flush()?;
+        Ok((self.inner, self.spent))
     }
 
-    fn write_compressing(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.crc = crc32_update(self.crc, data);
-        self.total_in += data.len() as u64;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let room = BLOCK_BYTES - self.buf.len();
-            let take = room.min(rest.len());
-            self.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.buf.len() == BLOCK_BYTES {
-                let block = std::mem::take(&mut self.buf);
-                deflate_block(&mut self.bits, &block, false, self.effort)?;
-                self.buf = block;
-                self.buf.clear();
-            }
+    /// Encodes the pending block into `bits.out` (with the trailer when
+    /// `last`), slides the window, and only then, with the clock
+    /// stopped, hands the compressed bytes to the inner writer.
+    fn encode_block(&mut self, last: bool) -> io::Result<()> {
+        let started = Instant::now();
+        let block = &self.window[self.block_start..];
+        self.crc = crc32_update(self.crc, block);
+        self.total_in += block.len() as u64;
+        let span = if last { block.len() } else { WINDOW };
+        let matcher = self.matcher.get_or_insert_with(|| Matcher::new(span));
+        matcher.tokenize(&self.window, self.block_start, &mut self.tokens);
+        deflate_block(
+            &mut self.bits,
+            &self.window[self.block_start..],
+            &self.tokens,
+            last,
+        );
+        if last {
+            self.bits.align_byte();
+            self.bits.write_bytes(&self.crc.to_le_bytes());
+            self.bits.write_bytes(&(self.total_in as u32).to_le_bytes());
+        } else if self.window.len() > WINDOW {
+            // Blocks are full until the last, so the window holds exactly
+            // one window of history plus one block here.
+            debug_assert_eq!(self.window.len(), WINDOW + BLOCK_BYTES);
+            self.window.copy_within(BLOCK_BYTES.., 0);
+            self.window.truncate(WINDOW);
+            matcher.slide();
         }
-        Ok(data.len())
+        self.block_start = self.window.len();
+        self.spent += started.elapsed();
+        self.inner.write_all(&self.bits.out)?;
+        self.bits.out.clear();
+        Ok(())
     }
 }
 
 impl<W: Write> Write for GzipWriter<W> {
+    /// Copies `data` into the pending block; a full block is encoded
+    /// when more input arrives, so the final block is never empty unless
+    /// the whole stream is.
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let started = Instant::now();
-        let result = self.write_compressing(data);
-        self.spent += started.elapsed();
-        result
+        let mut rest = data;
+        loop {
+            let take = (self.block_start + BLOCK_BYTES - self.window.len()).min(rest.len());
+            let want = self.window.len() + take;
+            if want > self.window.capacity() {
+                // Double from 1 KiB, never past the window plus one block.
+                let cap = want.next_power_of_two().clamp(1024, WINDOW + BLOCK_BYTES);
+                self.window.reserve_exact(cap - self.window.len());
+            }
+            self.window.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if rest.is_empty() {
+                return Ok(data.len());
+            }
+            self.encode_block(false)?;
+        }
     }
 
+    /// Pending block bytes cannot be emitted without ending a block, so
+    /// this forwards only what is already compressed (the header, before
+    /// the first block).
     fn flush(&mut self) -> io::Result<()> {
-        // Pending block bytes cannot be emitted without ending a block;
-        // only the already-compressed output is flushed through.
-        self.bits.flush()
+        self.inner.write_all(&self.bits.out)?;
+        self.bits.out.clear();
+        self.inner.flush()
     }
 }
 
-/// Compresses `data` to a complete in-memory gzip stream at
-/// [`Effort::Default`].
+/// Compresses `data` to a complete in-memory gzip stream.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_with(data, Effort::Default)
-}
-
-/// Compresses `data` to a complete in-memory gzip stream at the given
-/// effort level.
-pub fn compress_with(data: &[u8], effort: Effort) -> Vec<u8> {
-    let mut gz = GzipWriter::with_effort(Vec::new(), effort).expect("Vec write cannot fail");
+    let mut gz = GzipWriter::new(Vec::new());
     gz.write_all(data).expect("Vec write cannot fail");
     gz.finish().expect("Vec write cannot fail")
+}
+
+/// [`compress`] under its former signature, for the repository
+/// benchmark only (see [`Effort`]); the next change to the benchmark
+/// removes it.
+pub fn compress_with(data: &[u8], _effort: Effort) -> Vec<u8> {
+    compress(data)
 }
 
 // ---------------------------------------------------------------------
@@ -1091,9 +1215,99 @@ pub fn decode(stream: &[u8]) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         decode(&compress(data)).expect("decode compressed stream")
+    }
+
+    /// Deterministic xorshift bytes: incompressible on their own.
+    fn random_bytes(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x & 0xff) as u8
+            })
+            .collect()
+    }
+
+    /// A sorted-source JSON edge list with irregular targets, harder than
+    /// real s-line-graph output.
+    fn synthetic_edge_list(rows: u32) -> Vec<u8> {
+        let mut body = String::from("[");
+        let mut x = 1u64;
+        for i in 0..rows {
+            // Cheap xorshift so coordinates are irregular, like real data.
+            x ^= x << 13;
+            x %= 1 << 20;
+            x ^= x >> 7;
+            if i > 0 {
+                body.push(',');
+            }
+            body.push_str(&format!("[{},{}]", i / 7, x % 100_000));
+        }
+        body.push(']');
+        body.into_bytes()
+    }
+
+    /// A JSON edge list rendered from `(source, target)` pairs.
+    fn edge_list_json(ids: &[u32]) -> Vec<u8> {
+        let rows: Vec<String> = ids
+            .chunks_exact(2)
+            .map(|p| format!("[{},{}]", p[0], p[1]))
+            .collect();
+        format!("[{}]", rows.join(",")).into_bytes()
+    }
+
+    /// Encodes `data` block by block, replaying each block's tokens
+    /// against the input before it: every match must copy the right
+    /// bytes from within [`WINDOW`]. Returns the longest distance used.
+    fn replay_tokens(data: &[u8]) -> usize {
+        let mut gz = GzipWriter::new(Vec::new());
+        let mut longest = 0;
+        let mut fed = 0;
+        let mut start = 0;
+        loop {
+            let end = (start + BLOCK_BYTES).min(data.len());
+            // A full block is encoded when the byte after it arrives.
+            if end < data.len() {
+                gz.write_all(&data[fed..=end]).unwrap();
+                fed = end + 1;
+            } else {
+                gz.write_all(&data[fed..]).unwrap();
+                gz.encode_block(true).unwrap();
+            }
+            let mut out = data[..start].to_vec();
+            for &t in &gz.tokens {
+                if t & MATCH_FLAG == 0 {
+                    out.push(t as u8);
+                    continue;
+                }
+                let (len, dist) = match_of(t);
+                assert!(dist <= WINDOW && dist <= out.len(), "distance {dist}");
+                longest = longest.max(dist);
+                for _ in 0..len {
+                    out.push(out[out.len() - dist]);
+                }
+            }
+            assert_eq!(out, &data[..end], "block at {start} replays wrong");
+            if end == data.len() {
+                return longest;
+            }
+            start = end;
+        }
+    }
+
+    /// Heap bytes the encoder holds: what [`STREAM_BUFFER_BYTES`] bounds.
+    fn buffer_bytes<W: Write>(gz: &GzipWriter<W>) -> usize {
+        let tables = gz
+            .matcher
+            .as_ref()
+            .map_or(0, |m| 2 * (m.head.capacity() + m.chain.capacity()));
+        gz.window.capacity() + tables + 4 * gz.tokens.capacity() + gz.bits.out.capacity()
     }
 
     #[test]
@@ -1124,25 +1338,12 @@ mod tests {
 
     #[test]
     fn json_edge_list_compresses_well() {
-        // The acceptance-criterion shape: a sorted JSON edge list. This
-        // synthetic one (uniformly random neighbors) is *harder* than
-        // real s-line-graph output; the integration tests assert the
-        // same bound on genomics data over the wire.
-        let mut body = String::from("[");
-        let mut x = 1u64;
-        for i in 0..40_000u32 {
-            // Cheap xorshift so coordinates are irregular, like real data.
-            x ^= x << 13;
-            x %= 1 << 20;
-            x ^= x >> 7;
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{},{}]", i / 7, x % 100_000));
-        }
-        body.push(']');
-        let compressed = compress(body.as_bytes());
-        assert_eq!(decode(&compressed).unwrap(), body.as_bytes());
+        // The acceptance-criterion shape: a sorted JSON edge list. The
+        // integration tests assert the same bound on genomics data over
+        // the wire.
+        let body = synthetic_edge_list(40_000);
+        let compressed = compress(&body);
+        assert_eq!(decode(&compressed).unwrap(), body);
         assert!(
             compressed.len() * 5 <= body.len() * 2,
             "edge-list JSON must compress >=2.5x, got {} -> {}",
@@ -1152,19 +1353,26 @@ mod tests {
     }
 
     #[test]
+    fn json_edge_list_output_stays_under_the_greedy_per_block_size() {
+        // 189,520 bytes is what the encoder this one replaced produced on
+        // this body at its fast level (greedy matching, independent
+        // blocks). The window across blocks may only shrink it.
+        let body = synthetic_edge_list(40_000);
+        assert_eq!(body.len(), 507_606);
+        let compressed = compress(&body);
+        assert!(
+            compressed.len() <= 189_520,
+            "output grew: {} bytes",
+            compressed.len()
+        );
+    }
+
+    #[test]
     fn incompressible_input_roundtrips_via_stored_blocks() {
         // Pseudo-random bytes defeat both Huffman codes; block-type
         // selection must fall back to stored blocks, bounding expansion
         // to the ~5 bytes of framing per 32 KiB block.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..100_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x & 0xff) as u8
-            })
-            .collect();
+        let data = random_bytes(100_000, 0x9E37_79B9_7F4A_7C15);
         let compressed = compress(&data);
         assert_eq!(decode(&compressed).unwrap(), data);
         assert!(
@@ -1177,16 +1385,52 @@ mod tests {
 
     #[test]
     fn block_boundaries_roundtrip() {
-        for len in [
+        let random = random_bytes(BLOCK_BYTES, 0x2545_F491_4F6C_DD1D);
+        let mut inputs: Vec<(String, Vec<u8>)> = [
             BLOCK_BYTES - 1,
             BLOCK_BYTES,
             BLOCK_BYTES + 1,
             2 * BLOCK_BYTES,
             2 * BLOCK_BYTES + 17,
-        ] {
-            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            assert_eq!(roundtrip(&data), data, "len {len}");
+        ]
+        .iter()
+        .map(|&len| {
+            (
+                format!("mod-251 {len}"),
+                (0..len).map(|i| (i % 251) as u8).collect(),
+            )
+        })
+        .collect();
+        // Repeats that exist only in the previous block: each block's
+        // bytes are incompressible on their own.
+        let mut twice = random.clone();
+        twice.extend_from_slice(&random);
+        inputs.push(("previous block only".into(), twice.clone()));
+        let mut shifted = random.clone();
+        shifted.extend_from_slice(&random[5..]);
+        shifted.extend_from_slice(&random[..300]);
+        inputs.push(("previous block, shifted".into(), shifted));
+        // A repeat at distance exactly WINDOW.
+        let mut at_window = random.clone();
+        at_window.extend_from_slice(&random[..300]);
+        inputs.push(("distance 32768".into(), at_window.clone()));
+        // A repeat one byte out of reach.
+        let mut past_window = random_bytes(WINDOW + 1, 3);
+        past_window.extend_from_within(..300);
+        inputs.push(("distance 32769".into(), past_window));
+        // One byte over three blocks: distance 1, length 258 throughout.
+        inputs.push(("one byte".into(), vec![b'x'; 3 * BLOCK_BYTES + 5]));
+        for (name, data) in &inputs {
+            assert_eq!(&roundtrip(data), data, "{name}");
+            let longest = replay_tokens(data);
+            assert!(longest <= WINDOW, "{name}: distance {longest}");
         }
+        // The window is what compresses the second copy.
+        assert_eq!(replay_tokens(&twice), WINDOW);
+        let one = compress(&random).len();
+        let two = compress(&twice).len();
+        assert!(two < one + one / 8, "second copy cost {} bytes", two - one);
+        assert_eq!(replay_tokens(&at_window), WINDOW);
     }
 
     #[test]
@@ -1196,72 +1440,114 @@ mod tests {
     }
 
     #[test]
-    fn streamed_writes_match_one_shot_compression() {
-        let data: Vec<u8> = (0..70_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut gz = GzipWriter::new(Vec::new()).unwrap();
-        for chunk in data.chunks(777) {
-            gz.write_all(chunk).unwrap();
-        }
-        let streamed = gz.finish().unwrap();
-        assert_eq!(streamed, compress(&data), "write slicing changed output");
-        assert_eq!(decode(&streamed).unwrap(), data);
-    }
-
-    #[test]
-    fn fast_effort_roundtrips_all_shapes() {
-        // Every input family the default-effort tests cover must also
-        // round-trip at Effort::Fast (skip-ahead, greedy matching and
-        // short chains change the token stream, never correctness).
+    fn roundtrips_fixed_shapes() {
         let repetitive: Vec<u8> = b"[[12,345],[12,346],[13,7],"
             .iter()
             .copied()
             .cycle()
             .take(150_000)
             .collect();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let random: Vec<u8> = (0..100_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x & 0xff) as u8
-            })
-            .collect();
         let structured: Vec<u8> = (0..70_000u32).flat_map(|i| i.to_le_bytes()).collect();
         for (name, data) in [
             ("empty", Vec::new()),
             ("tiny", b"hello".to_vec()),
             ("repetitive", repetitive),
-            ("random", random),
+            ("random", random_bytes(100_000, 0x9E37_79B9_7F4A_7C15)),
             ("structured", structured),
         ] {
-            let fast = compress_with(&data, Effort::Fast);
-            assert_eq!(decode(&fast).unwrap(), data, "{name}");
+            assert_eq!(roundtrip(&data), data, "{name}");
+            replay_tokens(&data);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn roundtrips_random_low_entropy_and_json(
+            len in 0usize..=3 * BLOCK_BYTES + 100,
+            seed in 1u64..u64::MAX,
+            ids in vec(0u32..5_000, 0..24_000),
+        ) {
+            let random = random_bytes(len, seed);
+            let low_entropy: Vec<u8> = random.iter().map(|b| b"[],7"[usize::from(b & 3)]).collect();
+            for data in [random, low_entropy, edge_list_json(&ids)] {
+                prop_assert_eq!(roundtrip(&data), data);
+            }
+        }
+
+        #[test]
+        fn any_split_into_writes_matches_one_write(
+            ids in vec(0u32..5_000, 0..24_000),
+            ones in 0usize..300,
+            sizes in vec(1usize..=2 * BLOCK_BYTES + 3, 1..12),
+        ) {
+            // 1-byte writes first, then writes of the drawn sizes (some
+            // spanning blocks), cycled, each followed by an empty write.
+            let data = edge_list_json(&ids);
+            let mut gz = GzipWriter::new(Vec::new());
+            let mut at = 0;
+            for _ in 0..ones.min(data.len()) {
+                gz.write_all(&data[at..=at]).unwrap();
+                at += 1;
+            }
+            for &size in sizes.iter().cycle() {
+                if at == data.len() {
+                    break;
+                }
+                let end = (at + size).min(data.len());
+                gz.write_all(&data[at..end]).unwrap();
+                gz.write_all(&[]).unwrap();
+                at = end;
+            }
+            let streamed = gz.finish().unwrap();
+            prop_assert_eq!(&streamed, &compress(&data));
+            prop_assert_eq!(decode(&streamed).unwrap(), data);
         }
     }
 
     #[test]
-    fn fast_effort_ratio_stays_close_to_default() {
-        // The acceptance shape: JSON edge-list bodies. Fast may lose
-        // some ratio but must stay within 15% of default's output size.
-        let mut body = String::from("[");
-        let mut x = 1u64;
-        for i in 0..40_000u32 {
-            x ^= x << 13;
-            x %= 1 << 20;
-            x ^= x >> 7;
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{},{}]", i / 7, x % 100_000));
+    fn symbol_tables_match_a_scan_of_the_bases() {
+        // The reference: the last base at or below the value.
+        fn scan(bases: &[u16], extra: &[u32], value: usize) -> (usize, u32, u32) {
+            let i = bases
+                .iter()
+                .rposition(|&b| usize::from(b) <= value)
+                .unwrap();
+            (i, (value - usize::from(bases[i])) as u32, extra[i])
         }
-        body.push(']');
-        let default_len = compress_with(body.as_bytes(), Effort::Default).len();
-        let fast_len = compress_with(body.as_bytes(), Effort::Fast).len();
-        assert!(
-            fast_len as f64 <= default_len as f64 * 1.15,
-            "fast ratio loss too large: {fast_len} vs {default_len}"
-        );
+        for len in MIN_MATCH..=MAX_MATCH {
+            let (i, extra, bits) = scan(&LENGTH_BASE, &LENGTH_EXTRA, len);
+            assert_eq!(length_symbol(len), (257 + i, extra, bits), "length {len}");
+        }
+        for dist in 1..=WINDOW {
+            let expected = scan(&DIST_BASE, &DIST_EXTRA, dist);
+            assert_eq!(dist_symbol(dist), expected, "distance {dist}");
+        }
+    }
+
+    #[test]
+    fn stream_buffers_stay_within_the_stated_bound() {
+        let json = synthetic_edge_list(40_000);
+        for data in [
+            random_bytes(5 * BLOCK_BYTES, 7),
+            vec![0u8; 5 * BLOCK_BYTES],
+            json,
+        ] {
+            let mut gz = GzipWriter::new(Vec::new());
+            for chunk in data.chunks(1000) {
+                gz.write_all(chunk).unwrap();
+                assert!(buffer_bytes(&gz) <= STREAM_BUFFER_BYTES);
+            }
+            gz.encode_block(true).unwrap();
+            assert!(buffer_bytes(&gz) <= STREAM_BUFFER_BYTES);
+        }
+        // A small body sizes its hash tables to itself.
+        let mut gz = GzipWriter::new(Vec::new());
+        gz.write_all(&synthetic_edge_list(30)[..250]).unwrap();
+        gz.encode_block(true).unwrap();
+        let m = gz.matcher.as_ref().unwrap();
+        assert!(2 * (m.head.len() + m.chain.len()) <= 1024);
     }
 
     #[test]
@@ -1283,6 +1569,30 @@ mod tests {
         let once = crc32_update(0, b"hello world");
         let split = crc32_update(crc32_update(0, b"hello "), b"world");
         assert_eq!(once, split);
+        // Slicing by 8 agrees with the bitwise definition at every length
+        // and alignment of the tail.
+        let bitwise = |data: &[u8]| {
+            let mut c = !0u32;
+            for &b in data {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        };
+        let data = random_bytes(100, 11);
+        for len in 0..data.len() {
+            assert_eq!(
+                crc32_update(0, &data[..len]),
+                bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
     }
 
     #[test]
@@ -1306,6 +1616,32 @@ mod tests {
                 .map(|&l| 1u64 << (max_bits - usize::from(l)))
                 .sum();
             assert_eq!(kraft, 1u64 << max_bits, "max_bits {max_bits}");
+        }
+        // Where the limit does not bind, the cost is a Huffman code's:
+        // the sum of every merge in the textbook heap construction.
+        let mut x = 5u64;
+        for used in 2..60 {
+            let freqs: Vec<u32> = (0..used)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % 1000) as u32 + 1
+                })
+                .collect();
+            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>> = freqs
+                .iter()
+                .map(|&f| std::cmp::Reverse(u64::from(f)))
+                .collect();
+            let mut optimal = 0;
+            while heap.len() > 1 {
+                let std::cmp::Reverse(a) = heap.pop().unwrap();
+                let std::cmp::Reverse(b) = heap.pop().unwrap();
+                optimal += a + b;
+                heap.push(std::cmp::Reverse(a + b));
+            }
+            let lengths = huffman_lengths(&freqs, 15);
+            assert_eq!(symbol_cost(&freqs, &lengths), optimal, "{used} symbols");
         }
         // Degenerate cases.
         assert!(huffman_lengths(&[0, 0, 0], 15).iter().all(|&l| l == 0));

@@ -183,6 +183,31 @@ impl Json {
         }
     }
 
+    /// Every dotted key path down to the leaves of an object tree, one
+    /// per line in sorted order: the shape of a body independent of its
+    /// values. `scripts/metrics_schema.txt` holds it for `/metrics`.
+    pub fn key_schema(&self) -> String {
+        fn walk(json: &Json, prefix: &str, out: &mut Vec<String>) {
+            match json.entries() {
+                Some(entries) if !entries.is_empty() => {
+                    for (key, value) in entries {
+                        let path = if prefix.is_empty() {
+                            key.clone()
+                        } else {
+                            format!("{prefix}.{key}")
+                        };
+                        walk(value, &path, out);
+                    }
+                }
+                _ => out.push(prefix.to_string()),
+            }
+        }
+        let mut paths = Vec::new();
+        walk(self, "", &mut paths);
+        paths.sort_unstable();
+        paths.join("\n") + "\n"
+    }
+
     /// The first value of object field `key`, if this is an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.entries()?

@@ -885,12 +885,7 @@ fn respond<W: Write>(
         };
         http::write_response_head(writer, status, http::CONTENT_TYPE_JSON, false, extra)?;
         if gzip {
-            // Fast effort: on a streamed response the encode time is
-            // first-byte latency, so trade a little ratio for throughput.
-            let mut gz = GzipWriter::with_effort(&mut *writer, crate::gzip::Effort::Fast)?;
-            body.write_into(&mut gz)?;
-            let (_, spent) = gz.finish_timed()?;
-            state.metrics.gzip_encode.record_micros(spent);
+            write_gzip_body(state, body, &mut *writer)?;
         } else {
             // Fragments issue many small writes; batch them so a raw
             // identity body is not one syscall per edge row.
@@ -912,13 +907,8 @@ fn respond<W: Write>(
     http::write_response_head(writer, status, http::CONTENT_TYPE_JSON, keep_alive, extra)?;
     if gzip {
         // Transfer-Encoding applies over Content-Encoding: the gzip
-        // stream is what gets chunk-framed. Fast effort — see above.
-        let mut gz =
-            GzipWriter::with_effort(ChunkedWriter::new(&mut *writer), crate::gzip::Effort::Fast)?;
-        body.write_into(&mut gz)?;
-        let (chunked, spent) = gz.finish_timed()?;
-        state.metrics.gzip_encode.record_micros(spent);
-        chunked.finish()?;
+        // stream is what gets chunk-framed.
+        write_gzip_body(state, body, ChunkedWriter::new(&mut *writer))?.finish()?;
     } else {
         let mut chunked = ChunkedWriter::new(&mut *writer);
         body.write_into(&mut chunked)?;
@@ -926,6 +916,17 @@ fn respond<W: Write>(
     }
     writer.flush()?;
     Ok(keep_alive)
+}
+
+/// Streams `body` gzip-compressed into `inner`, records the encoder's
+/// own time (not its writes into `inner`) in the `gzip_encode`
+/// histogram, and returns `inner` for the caller to finish.
+fn write_gzip_body<W: Write>(state: &ServerState, body: &Json, inner: W) -> std::io::Result<W> {
+    let mut gz = GzipWriter::new(inner);
+    body.write_into(&mut gz)?;
+    let (inner, spent) = gz.finish_timed()?;
+    state.metrics.gzip_encode.record_micros(spent);
+    Ok(inner)
 }
 
 /// What a handled request exposes to the access log beyond its route
@@ -1510,7 +1511,7 @@ fn render_prometheus(state: &ServerState) -> Json {
     histogram_family(
         &mut out,
         "hyperline_gzip_encode_micros",
-        "Time spent inside the gzip encoder per response, microseconds.",
+        "Time the gzip encoder spent compressing per response (CRC, matching, Huffman coding; not its writes to the socket buffer), microseconds.",
         &[(no_labels.clone(), m.gzip_encode.snapshot())],
     );
 

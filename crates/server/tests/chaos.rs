@@ -791,35 +791,27 @@ fn evented_accept_faults_only_delay_admission() {
 }
 
 /// Reads exactly one keep-alive HTTP response: headers, then (for the
-/// chunked bodies this server sends) through the terminal chunk.
+/// chunked bodies this server sends) through the terminal chunk. Bytes
+/// are peeked first and consumed only up to the response's end, so a
+/// pipelined response that arrived in the same segment stays unread for
+/// the next call.
 fn read_one_response(stream: &mut TcpStream) -> String {
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
-        match stream.read(&mut buf) {
+        match stream.peek(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                raw.extend_from_slice(&buf[..n]);
-                let text = String::from_utf8_lossy(&raw);
-                if let Some((head, body)) = text.split_once("\r\n\r\n") {
-                    let chunked = head
-                        .lines()
-                        .any(|l| l.eq_ignore_ascii_case("transfer-encoding: chunked"));
-                    if chunked {
-                        if body.ends_with("0\r\n\r\n") {
-                            break;
-                        }
-                    } else if let Some(len) = head.lines().find_map(|l| {
-                        let (k, v) = l.split_once(':')?;
-                        k.eq_ignore_ascii_case("content-length")
-                            .then(|| v.trim().parse::<usize>().ok())?
-                    }) {
-                        if body.len() >= len {
-                            break;
-                        }
-                    } else {
-                        break;
-                    }
+                let mut seen = raw.clone();
+                seen.extend_from_slice(&buf[..n]);
+                let end = response_end(&seen);
+                let take = end.map_or(n, |end| end - raw.len());
+                stream
+                    .read_exact(&mut buf[..take])
+                    .expect("read peeked bytes");
+                raw.extend_from_slice(&buf[..take]);
+                if end.is_some() {
+                    break;
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -827,6 +819,34 @@ fn read_one_response(stream: &mut TcpStream) -> String {
         }
     }
     String::from_utf8_lossy(&raw).into_owned()
+}
+
+/// Where the first response in `raw` ends, once it is complete: after
+/// `content-length` body bytes, after the terminal chunk, or, with
+/// neither, at the end of what has arrived once the head is complete.
+fn response_end(raw: &[u8]) -> Option<usize> {
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&raw[..head_end]);
+    if head
+        .lines()
+        .any(|l| l.eq_ignore_ascii_case("transfer-encoding: chunked"))
+    {
+        // The terminal chunk follows the head's or the last chunk's CRLF.
+        let terminal = b"\r\n0\r\n\r\n";
+        let at = raw[head_end + 2..]
+            .windows(terminal.len())
+            .position(|w| w == terminal)?;
+        return Some(head_end + 2 + at + terminal.len());
+    }
+    let length = head.lines().find_map(|l| {
+        let (k, v) = l.split_once(':')?;
+        k.eq_ignore_ascii_case("content-length")
+            .then(|| v.trim().parse::<usize>().ok())?
+    });
+    match length {
+        Some(len) => (raw.len() >= head_end + 4 + len).then_some(head_end + 4 + len),
+        None => Some(raw.len()),
+    }
 }
 
 fn header_says_close(raw: &str) -> bool {

@@ -260,6 +260,48 @@ fn metrics_reflect_traffic_and_cache_state() {
     handle.shutdown();
 }
 
+/// Dashboards and scrapers key on the `/metrics` JSON paths, so the key
+/// set changes only deliberately: it must match the checked-in snapshot,
+/// which `server_smoke --update-schema` rewrites. The set is fixed by the
+/// route list and the cache tiers, so an idle server with no datasets
+/// shows all of it.
+#[test]
+fn metrics_key_set_matches_the_checked_in_schema() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let handle = server.spawn();
+    let (status, body) = get(handle.addr(), "/metrics");
+    handle.shutdown();
+    assert_eq!(status, 200);
+    let current = hyperline_server::json::Json::parse(&body)
+        .expect("/metrics body parses")
+        .key_schema();
+    let expected = include_str!("../../../scripts/metrics_schema.txt");
+    if current != expected {
+        for path in expected
+            .lines()
+            .filter(|p| !current.lines().any(|c| c == *p))
+        {
+            eprintln!("  removed: {path}");
+        }
+        for path in current
+            .lines()
+            .filter(|p| !expected.lines().any(|e| e == *p))
+        {
+            eprintln!("  added:   {path}");
+        }
+        panic!(
+            "/metrics key set diverged from scripts/metrics_schema.txt; rerun \
+             `cargo run --release -p hyperline-bench --bin server_smoke -- --update-schema` \
+             if the change is deliberate"
+        );
+    }
+}
+
 #[test]
 fn malformed_requests_get_400_and_close() {
     let (handle, _) = start_server("lesMis", 2);

@@ -19,9 +19,10 @@
 #   6. cargo build --release
 #   7. cargo test -q --workspace — every package's unit, integration
 #      and doc tests, the counting oracles and the server suites
-#      included (also --fast) — then the chaos suite by name
-#      (deadline/cancel, slow-client, fault-injection, and drain
-#      invariants — also --fast)
+#      included, among them the /metrics JSON key-set check against
+#      scripts/metrics_schema.txt (also --fast) — then the chaos suite
+#      by name (deadline/cancel, slow-client, fault-injection, and
+#      drain invariants — also --fast)
 #   8. the two smoke benchmarks (skipped with --fast) — server (cold vs
 #      warm cache latencies + server-side p50/p99 from the /metrics
 #      histograms + streamed edge-list wire bytes, identity vs gzip +
@@ -29,10 +30,9 @@
 #      as a trailing max-sustained summary line) and
 #      kernels (pipeline stage timings with the counting-vs-tail
 #      breakdown plus the Stage-5 frontier-engine section). Both are
-#      warn-only compared (>20%) against their previous BENCH_*.json;
-#      the server smoke additionally HARD-asserts that the /metrics
-#      JSON key set matches scripts/metrics_schema.txt (rerun with
-#      --update-schema to accept a deliberate change). Kernel runs are
+#      warn-only compared (>20%) against their previous BENCH_*.json
+#      (server_smoke --update-schema rewrites scripts/metrics_schema.txt
+#      to accept a deliberate /metrics change). Kernel runs are
 #      appended to BENCH_history.jsonl for the per-commit trajectory.
 # Trailing summary lines report the analyzer's per-rule finding counts
 # and wall time, which BENCH_*.json snapshots changed, and whether any
