@@ -22,8 +22,11 @@
 //! (queue-based BFS components and the O(V·E) diameter sweep were
 //! serial; the old closeness was already source-parallel and runs at
 //! the comparison worker count), and the combined `stage5_speedup` at
-//! the ≥4-worker point. Outputs are asserted byte-identical across all
-//! worker counts (closeness compared bit-for-bit).
+//! the ≥4-worker point. Each run also times λ₂ (`lambda2_ms`, outside
+//! `stage5_ms` so that sum stays comparable across the trajectory).
+//! Outputs are asserted byte-identical across all worker counts
+//! (closeness and λ₂ compared bit-for-bit), and the bounded diameter is
+//! asserted equal to the serial all-sources `bfs::diameter`.
 //!
 //! Before overwriting an existing `BENCH_kernels.json` the binary
 //! prints a warn-only comparison: any stage whose cold median regressed
@@ -184,16 +187,24 @@ struct Stage5Medians {
     components_ms: f64,
     diameter_ms: f64,
     closeness_ms: f64,
+    /// λ₂ of the largest component; not part of [`Self::stage5_ms`].
+    lambda2_ms: f64,
 }
 
 impl Stage5Medians {
-    /// Combined Stage-5 time.
+    /// Combined time of components, diameter and closeness.
     fn stage5_ms(&self) -> f64 {
         self.components_ms + self.diameter_ms + self.closeness_ms
     }
 
-    fn fields() -> [&'static str; 4] {
-        ["components_ms", "diameter_ms", "closeness_ms", "stage5_ms"]
+    fn fields() -> [&'static str; 5] {
+        [
+            "components_ms",
+            "diameter_ms",
+            "closeness_ms",
+            "lambda2_ms",
+            "stage5_ms",
+        ]
     }
 
     fn get(&self, field: &str) -> f64 {
@@ -201,19 +212,21 @@ impl Stage5Medians {
             "components_ms" => self.components_ms,
             "diameter_ms" => self.diameter_ms,
             "closeness_ms" => self.closeness_ms,
+            "lambda2_ms" => self.lambda2_ms,
             "stage5_ms" => self.stage5_ms(),
             _ => unreachable!(),
         }
     }
 }
 
-/// Everything the Stage-5 kernels produced, with closeness scores as
-/// raw bits so the cross-worker-count identity check is bit-exact.
+/// Everything the Stage-5 kernels produced, with closeness scores and
+/// λ₂ as raw bits so the cross-worker-count identity check is bit-exact.
 #[derive(PartialEq, Eq)]
 struct Stage5Outputs {
     components: Vec<Vec<u32>>,
     diameter: u32,
     closeness_bits: Vec<(u32, u64)>,
+    lambda2_bits: u64,
 }
 
 /// Runs the Stage-5 frontier-engine kernels `reps` times cold under the
@@ -222,6 +235,7 @@ fn measure_stage5(slg: &SLineGraph, reps: usize) -> (Stage5Medians, Stage5Output
     let mut components = Vec::with_capacity(reps);
     let mut diameter = Vec::with_capacity(reps);
     let mut closeness = Vec::with_capacity(reps);
+    let mut lambda2 = Vec::with_capacity(reps);
     let mut outputs = None;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
@@ -233,10 +247,15 @@ fn measure_stage5(slg: &SLineGraph, reps: usize) -> (Stage5Medians, Stage5Output
         let t = Instant::now();
         let close = slg.closeness();
         closeness.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        let lam = slg.lambda2();
+        lambda2.push(t.elapsed().as_secs_f64() * 1e3);
+        assert!(lam.converged, "λ₂ did not converge: {lam:?}");
         outputs = Some(Stage5Outputs {
             components: comps,
             diameter: diam,
             closeness_bits: close.into_iter().map(|(e, s)| (e, s.to_bits())).collect(),
+            lambda2_bits: lam.value.to_bits(),
         });
     }
     (
@@ -244,6 +263,7 @@ fn measure_stage5(slg: &SLineGraph, reps: usize) -> (Stage5Medians, Stage5Output
             components_ms: median(components),
             diameter_ms: median(diameter),
             closeness_ms: median(closeness),
+            lambda2_ms: median(lambda2),
         },
         outputs.expect("at least one rep ran"),
     )
@@ -258,13 +278,15 @@ fn measure_stage5(slg: &SLineGraph, reps: usize) -> (Stage5Medians, Stage5Output
 /// runs under the *ambient* worker count — callers pin that to the same
 /// count as the parallel point, keeping `stage5_speedup` an honest
 /// user-visible number on multi-core machines rather than a
-/// single-thread strawman.
-fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> Stage5Medians {
+/// single-thread strawman. Also returns the all-sources diameter, the
+/// oracle for the bounded one.
+fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> (Stage5Medians, u32) {
     let g = slg.graph();
     let n = g.num_vertices();
     let mut components = Vec::with_capacity(reps);
     let mut diameter = Vec::with_capacity(reps);
     let mut closeness = Vec::with_capacity(reps);
+    let mut all_sources_diameter = 0;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
         let labels = cc::components_bfs(g);
@@ -275,7 +297,7 @@ fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> Stage5Medians {
         std::hint::black_box(&comps);
         components.push(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
-        std::hint::black_box(bfs::diameter(g));
+        all_sources_diameter = std::hint::black_box(bfs::diameter(g));
         diameter.push(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
         let scores: Vec<f64> = hyperline_util::parallel::par_map_range(n, |v| {
@@ -301,11 +323,15 @@ fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> Stage5Medians {
         std::hint::black_box(&out);
         closeness.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    Stage5Medians {
-        components_ms: median(components),
-        diameter_ms: median(diameter),
-        closeness_ms: median(closeness),
-    }
+    (
+        Stage5Medians {
+            components_ms: median(components),
+            diameter_ms: median(diameter),
+            closeness_ms: median(closeness),
+            lambda2_ms: 0.0,
+        },
+        all_sources_diameter,
+    )
 }
 
 /// One worker count's cold medians, all in milliseconds, plus the
@@ -563,8 +589,8 @@ fn main() {
             slg.num_edges()
         );
         println!(
-            "{:>8} {:>12} {:>10} {:>11} {:>10}",
-            "workers", "components", "diameter", "closeness", "stage5"
+            "{:>8} {:>12} {:>10} {:>11} {:>10} {:>10}",
+            "workers", "components", "diameter", "closeness", "stage5", "lambda2"
         );
         let mut s5_rows: Vec<(usize, Stage5Medians)> = Vec::new();
         let mut s5_reference: Option<Stage5Outputs> = None;
@@ -578,12 +604,13 @@ fn main() {
                 ),
             }
             println!(
-                "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms",
+                "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms {:>8.2}ms",
                 w,
                 meds.components_ms,
                 meds.diameter_ms,
                 meds.closeness_ms,
-                meds.stage5_ms()
+                meds.stage5_ms(),
+                meds.lambda2_ms
             );
             if let Some(prev) = previous_stage5_medians(previous.as_ref(), profile.name(), w) {
                 for field in Stage5Medians::fields() {
@@ -611,7 +638,15 @@ fn main() {
         // source-parallel, so the baseline runs it under the same worker
         // count as the parallel point (an honest comparison, not a
         // single-thread strawman).
-        let s5_baseline = with_pool(*s5_workers, || measure_stage5_baseline(&slg, reps));
+        let (s5_baseline, all_sources_diameter) =
+            with_pool(*s5_workers, || measure_stage5_baseline(&slg, reps));
+        let s5_outputs = s5_reference
+            .as_ref()
+            .expect("at least one worker count ran");
+        assert_eq!(
+            s5_outputs.diameter, all_sources_diameter,
+            "bounded s-diameter differs from the all-sources sweep"
+        );
         let stage5_speedup = s5_baseline.stage5_ms() / s5_meds.stage5_ms();
         println!(
             "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms   (pre-PR kernels: serial CC/diameter, source-parallel closeness)",
@@ -638,6 +673,7 @@ fn main() {
                     .set("diameter_ms", m.diameter_ms)
                     .set("closeness_ms", m.closeness_ms)
                     .set("stage5_ms", m.stage5_ms())
+                    .set("lambda2_ms", m.lambda2_ms)
             })
             .collect();
         let stage5_json = Json::obj()

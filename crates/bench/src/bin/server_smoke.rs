@@ -226,12 +226,16 @@ fn read_fd_limit() -> Option<usize> {
 
 /// Reads one keep-alive response off `stream` (content-length framed,
 /// which is what `/healthz` answers).
-fn read_keep_alive_response(stream: &mut TcpStream) -> String {
+fn read_keep_alive_response(stream: &mut TcpStream) -> Result<String, String> {
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
-        let n = stream.read(&mut buf).expect("keep-alive read");
-        assert!(n > 0, "connection closed mid-response");
+        let n = stream
+            .read(&mut buf)
+            .map_err(|e| format!("keep-alive read: {e}"))?;
+        if n == 0 {
+            return Err("connection closed mid-response".to_string());
+        }
         raw.extend_from_slice(&buf[..n]);
         let text = String::from_utf8_lossy(&raw);
         if let Some((head, body)) = text.split_once("\r\n\r\n") {
@@ -244,7 +248,7 @@ fn read_keep_alive_response(stream: &mut TcpStream) -> String {
                 })
                 .expect("content-length framing");
             if body.len() >= len {
-                return text.into_owned();
+                return Ok(text.into_owned());
             }
         }
     }
@@ -256,6 +260,11 @@ fn read_keep_alive_response(stream: &mut TcpStream) -> String {
 /// server socket, and the connection tracker's dup) and measures
 /// request p50/p99 with all of them open. Idle sockets cost the loop
 /// nothing but a timer entry, so latency should stay flat across tiers.
+///
+/// The probed sockets are the tier's last 50, connected only once the
+/// rest of the tier is registered: each socket's idle timer starts at
+/// accept, so probing the oldest sockets instead would race their idle
+/// timeout against however long the tier took to set up.
 fn concurrency_section() -> Json {
     let fd_limit = read_fd_limit().unwrap_or(1024);
     let max_open = (fd_limit.saturating_sub(512) / 3).max(64);
@@ -288,31 +297,52 @@ fn concurrency_section() -> Json {
             capped = true;
             println!("concurrency: tier {target} capped to {open} by fd limit {fd_limit}");
         }
+        let sample = open.min(50);
+        let first_connect = Instant::now();
         let mut parked: Vec<TcpStream> = Vec::with_capacity(open);
-        for _ in 0..open {
-            let stream = TcpStream::connect(addr).expect("connect parked socket");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            parked.push(stream);
-        }
         // The loop owns a connection once it is epoll-registered; wait
-        // for the gauge to account for every parked socket.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while gauge() < open as i64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // for the gauge to account for `count` parked sockets. Returns
+        // false when the wait timed out.
+        let park = |parked: &mut Vec<TcpStream>, count: usize| {
+            while parked.len() < count {
+                let stream = TcpStream::connect(addr).expect("connect parked socket");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                parked.push(stream);
+            }
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while gauge() < count as i64 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            gauge() >= count as i64
+        };
+        let bulk_registered = park(&mut parked, open - sample);
+        // The probed sockets connect last, so their idle timers start
+        // just before the probes however long the bulk took.
+        let all_registered = park(&mut parked, open);
         max_sustained = max_sustained.max(gauge());
-        // p50/p99 of sequential probes round-robined over a sample of
-        // the parked (live, keep-alive) sockets.
-        let sample = parked.len().min(50);
+        // p50/p99 of sequential probes round-robined over the newest
+        // parked (live, keep-alive) sockets.
         let probes = 200usize;
         let mut micros = Vec::with_capacity(probes);
         for i in 0..probes {
-            let stream = &mut parked[i % sample];
+            let stream = &mut parked[open - sample + i % sample];
             let started = Instant::now();
             write!(stream, "GET /healthz HTTP/1.1\r\nhost: bench\r\n\r\n").expect("probe write");
-            let response = read_keep_alive_response(stream);
+            let response = read_keep_alive_response(stream).unwrap_or_else(|e| {
+                panic!(
+                    "probe {i} at the {open}-socket tier: {e} ({:.1} s since the tier's \
+                     first connect, gauge {}, gauge wait {})",
+                    first_connect.elapsed().as_secs_f64(),
+                    gauge(),
+                    if bulk_registered && all_registered {
+                        "met"
+                    } else {
+                        "timed out"
+                    }
+                )
+            });
             assert!(response.starts_with("HTTP/1.1 200"), "{response}");
             micros.push(started.elapsed().as_secs_f64() * 1e6);
         }

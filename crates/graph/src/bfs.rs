@@ -81,9 +81,10 @@ pub fn eccentricity(g: &Graph, v: u32) -> u32 {
 
 /// Diameter of the graph restricted to reachable pairs: the maximum finite
 /// eccentricity over all vertices. This is the paper's *s-diameter* when
-/// run on an s-line graph. O(V·E) of sequential sweeps — kept as the
-/// serial reference; Stage 5 routes through
-/// [`crate::frontier::diameter`], the source-parallel engine.
+/// run on an s-line graph. O(V·E): one sequential sweep per vertex. Kept
+/// as the oracle: Stage 5 routes through [`crate::frontier::diameter`],
+/// which reaches the same value from eccentricity bounds in a few
+/// sweeps, and the proptests and `kernel_smoke` compare the two.
 pub fn diameter(g: &Graph) -> u32 {
     (0..g.num_vertices() as u32)
         .map(|v| eccentricity(g, v))

@@ -19,7 +19,11 @@
 //!   direction-optimizing sweep per source with fully reused scratch
 //!   (no per-source allocation, distance resets proportional to the
 //!   reached set), driven source-parallel by [`eccentricities`] /
-//!   [`diameter`] / [`harmonic_closeness`].
+//!   [`harmonic_closeness`].
+//! * [`diameter`] — the exact s-diameter from **eccentricity bounds**
+//!   (Takes & Kosters' BoundingDiameters) per component: a handful of
+//!   sweeps on small-world graphs instead of one per vertex, finishing
+//!   on the source-parallel sweep when the bounds stop pruning.
 //! * [`components`] — frontier-parallel connected components: unvisited
 //!   start vertices are seeded in ascending ID order, so every label is
 //!   the smallest member ID (canonical) by construction and the result
@@ -39,7 +43,7 @@
 use crate::bfs::UNREACHABLE;
 use crate::graph::Graph;
 use hyperline_util::parallel::{
-    par_for_each_range, par_map_range, par_map_range_init, par_sort_unstable,
+    num_threads, par_for_each_range, par_map_range, par_map_range_init, par_sort_unstable,
 };
 use hyperline_util::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use hyperline_util::telemetry::Span;
@@ -454,11 +458,153 @@ pub fn eccentricities(g: &Graph) -> Vec<u32> {
     )
 }
 
-/// Parallel s-diameter: the maximum finite eccentricity, computed
-/// source-parallel over the sweep engine. Same value as
-/// [`crate::bfs::diameter`] (the serial reference).
+/// Sweeps per stall check in [`diameter`]: every this many bound
+/// sweeps, the candidates they removed are compared with what a
+/// source-parallel sweep would settle in the same time.
+const STALL_WINDOW: usize = 16;
+
+/// Exact s-diameter: the maximum finite eccentricity, the same value as
+/// [`crate::bfs::diameter`] (the serial all-sources reference), from
+/// eccentricity bounds instead of a sweep per vertex.
+///
+/// Components are visited largest first; one whose size − 1 cannot
+/// beat the diameter found so far is skipped, and so is every smaller
+/// one. Inside a component, Takes & Kosters' *BoundingDiameters*
+/// ("Determining the diameter of small world networks", CIKM 2011)
+/// keeps a lower and an upper eccentricity bound per candidate vertex.
+/// A sweep from `v` with `ε = ecc(v)` raises each candidate `w`'s lower
+/// bound to `max(d, ε − d)` and cuts its upper bound to `ε + d`, where
+/// `d = d(v, w)`; the diameter lies in `[max ε, min 2ε]`. Sources
+/// alternate between the largest upper bound and the smallest lower
+/// bound (ties: higher degree, then lower ID). A candidate is dropped
+/// once its eccentricity is known, or once it can neither raise the
+/// lower bound (upper bound ≤ it) nor lower the upper bound (twice its
+/// lower bound ≥ it). The component is settled when the bounds meet or
+/// no candidate's upper bound exceeds the lower bound.
+///
+/// When pruning stalls — a window of [`STALL_WINDOW`] sweeps removed
+/// no more than one candidate per sweep per worker, the rate at which
+/// the source-parallel sweep settles them — the remaining candidates
+/// are swept source-parallel (`par_map_range_init` over
+/// [`SweepScratch`]). Every sweep removes at least its own source, so
+/// with one worker this happens only when the bounds settle nothing
+/// else, and the plain sweep skips their bookkeeping.
+///
+/// Every sweep runs on a reused [`SweepScratch`] and opens one `sweep`
+/// span, so a traced run counts the sweeps the diameter took. Scratch
+/// is O(V) per call. The value is worker-count independent; only the
+/// number of sweeps can differ, through the stall rule.
 pub fn diameter(g: &Graph) -> u32 {
-    eccentricities(g).into_iter().max().unwrap_or(0)
+    let n = g.num_vertices();
+    let mut bounds = EccentricityBounds {
+        lower: vec![0; n],
+        upper: vec![0; n],
+        scratch: SweepScratch::new(n),
+        candidates: Vec::new(),
+    };
+    let mut best = 0u32;
+    // Largest first, so the first component too small to matter ends
+    // the search.
+    for comp in crate::cc::components_as_sets(&components(g)) {
+        if comp.len() as u32 - 1 <= best {
+            break;
+        }
+        best = bounds.settle(g, &comp, best);
+    }
+    best
+}
+
+/// Per-call scratch of [`diameter`]'s bound search.
+struct EccentricityBounds {
+    lower: Vec<u32>,
+    upper: Vec<u32>,
+    scratch: SweepScratch,
+    candidates: Vec<u32>,
+}
+
+impl EccentricityBounds {
+    /// `max(best, diameter of the component)`, for one connected
+    /// component `comp` of `g` with at least two vertices.
+    fn settle(&mut self, g: &Graph, comp: &[u32], best: u32) -> u32 {
+        let Self {
+            lower,
+            upper,
+            scratch,
+            candidates,
+        } = self;
+        for &v in comp {
+            lower[v as usize] = 0;
+            upper[v as usize] = comp.len() as u32 - 1;
+        }
+        candidates.clear();
+        candidates.extend_from_slice(comp);
+        // `dl ≤ max(best, diam) ≤ max(dl, du)` holds throughout.
+        let mut dl = best;
+        let mut du = u32::MAX;
+        let mut pick_high = true;
+        let mut window_sweeps = 0usize;
+        let mut window_removed = 0usize;
+        let workers = num_threads();
+        while !candidates.is_empty() && dl < du {
+            let v = if pick_high {
+                *candidates
+                    .iter()
+                    .max_by_key(|&&w| (upper[w as usize], g.degree(w), std::cmp::Reverse(w)))
+                    .expect("candidates are non-empty")
+            } else {
+                *candidates
+                    .iter()
+                    .min_by_key(|&&w| (lower[w as usize], std::cmp::Reverse(g.degree(w)), w))
+                    .expect("candidates are non-empty")
+            };
+            pick_high = !pick_high;
+            let ecc = {
+                let _span = Span::enter("sweep");
+                scratch.sweep(g, v).eccentricity
+            };
+            dl = dl.max(ecc);
+            du = du.min(ecc.saturating_mul(2));
+            let before = candidates.len();
+            let mut top = 0u32;
+            candidates.retain(|&w| {
+                let i = w as usize;
+                let d = scratch.dist[i];
+                lower[i] = lower[i].max(d).max(ecc - d);
+                upper[i] = upper[i].min(ecc + d);
+                // Any vertex's eccentricity bounds the diameter by twice it.
+                du = du.min(upper[i].saturating_mul(2));
+                let settled =
+                    lower[i] == upper[i] || (upper[i] <= dl && lower[i].saturating_mul(2) >= du);
+                if !settled {
+                    top = top.max(upper[i]);
+                }
+                !settled
+            });
+            // Every vertex outside the candidates has a known
+            // eccentricity ≤ dl or an upper bound ≤ dl.
+            if top <= dl {
+                break;
+            }
+            window_sweeps += 1;
+            window_removed += before - candidates.len();
+            if window_sweeps == STALL_WINDOW {
+                if window_removed <= STALL_WINDOW * workers {
+                    let eccs = par_map_range_init(
+                        candidates.len(),
+                        || SweepScratch::new(g.num_vertices()),
+                        |scratch, i| {
+                            let _span = Span::enter("sweep");
+                            scratch.sweep(g, candidates[i]).eccentricity
+                        },
+                    );
+                    return eccs.into_iter().fold(dl, u32::max);
+                }
+                window_sweeps = 0;
+                window_removed = 0;
+            }
+        }
+        dl
+    }
 }
 
 /// Parallel harmonic closeness: per-source sweeps with reused scratch,
@@ -624,6 +770,68 @@ mod tests {
         assert_eq!(labels, cc::components_bfs(&g));
         assert_eq!(cc::component_count(&labels), 300);
         assert_eq!(diameter(&g), 1);
+    }
+
+    /// Sweeps [`diameter`] takes on `g` at one worker, and its value.
+    fn counted_diameter(g: &Graph) -> (u32, u64) {
+        let (d, report) = hyperline_util::telemetry::collect(|| with_threads(1, || diameter(g)));
+        (d, report.get("sweep").map_or(0, |s| s.count))
+    }
+
+    #[test]
+    fn bounds_settle_in_few_sweeps() {
+        // Pinned sweep counts: a bound update that is valid but looser
+        // (or tighter and wrong) changes them even where the value holds.
+        let grid: Vec<(u32, u32)> = (0..400u32)
+            .flat_map(|v| {
+                let mut e = Vec::new();
+                if v % 20 != 19 {
+                    e.push((v, v + 1));
+                }
+                if v + 20 < 400 {
+                    e.push((v, v + 20));
+                }
+                e
+            })
+            .collect();
+        let path: Vec<(u32, u32)> = (1..50u32).map(|i| (i - 1, i)).collect();
+        let cases = [
+            ("path", Graph::from_edges(50, &path), 3),
+            ("grid", Graph::from_edges(400, &grid), 10),
+            (
+                "sparse random",
+                Graph::from_edges(500, &random_edges(17, 500, 700)),
+                8,
+            ),
+            // Every eccentricity is 3: no bound can settle a vertex but
+            // its own sweep, so this is the stall case.
+            (
+                "dense random",
+                Graph::from_edges(500, &random_edges(19, 500, 6_000)),
+                500,
+            ),
+        ];
+        for (name, g, expect) in &cases {
+            let (d, sweeps) = counted_diameter(g);
+            assert_eq!(d, bfs::diameter(g), "{name}");
+            assert_eq!(sweeps, *expect, "{name}");
+        }
+    }
+
+    #[test]
+    fn stalled_bounds_finish_source_parallel() {
+        // A cycle is eccentricity-uniform: no bound settles a vertex but
+        // its own sweep, so from two workers on the bounds stall after
+        // one window and the remaining vertices are swept in parallel.
+        let cycle: Vec<(u32, u32)> = (0..64u32).map(|i| (i, (i + 1) % 64)).collect();
+        let g = Graph::from_edges(64, &cycle);
+        for workers in [1usize, 2, 4] {
+            let (d, report) =
+                hyperline_util::telemetry::collect(|| with_threads(workers, || diameter(&g)));
+            assert_eq!(d, 32, "workers={workers}");
+            // Every vertex of a cycle needs its own sweep either way.
+            assert_eq!(report.get("sweep").map(|s| s.count), Some(64));
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! LPCC, eccentricities with `bfs::eccentricity`, closeness with the
 //! direct Σ 1/d definition (bit-exactness is not required there, only
 //! 1e-12 agreement: the engine accumulates per level).
+//!
+//! The diameter gets a second property over structured unions, where
+//! eccentricity bounds and the component order actually matter.
 
 use hyperline_graph::{bfs, cc, frontier, Graph};
 use hyperline_util::parallel::with_threads;
@@ -22,8 +25,88 @@ fn decode_edges(n: usize, codes: &[u64]) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// Deterministic xorshift draws for the structured generator.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n.max(1) as u64) as usize
+    }
+}
+
+/// A disjoint union of a clique, a path, a cycle, a star, a complete
+/// bipartite graph and a random graph, with sizes from `sizes` and
+/// vertices relabelled by a seeded shuffle. The path and the cycle
+/// often hold the diameter while the clique or the random graph is the
+/// largest component.
+fn structured_union(sizes: &[usize], seed: u64) -> Graph {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut next = 0u32;
+    let mut block = |n: usize| {
+        let base = next;
+        next += n as u32;
+        base
+    };
+    let (clique, path, cycle, star, left, right, random) = (
+        sizes[0], sizes[1], sizes[2], sizes[3], sizes[4], sizes[5], sizes[6],
+    );
+    let b = block(clique);
+    for i in 0..clique as u32 {
+        for j in i + 1..clique as u32 {
+            edges.push((b + i, b + j));
+        }
+    }
+    let b = block(path);
+    edges.extend((1..path as u32).map(|i| (b + i - 1, b + i)));
+    let b = block(cycle);
+    edges.extend((0..cycle as u32).map(|i| (b + i, b + (i + 1) % cycle as u32)));
+    let b = block(star + 1);
+    edges.extend((1..=star as u32).map(|i| (b, b + i)));
+    let b = block(left + right);
+    for i in 0..left as u32 {
+        for j in 0..right as u32 {
+            edges.push((b + i, b + left as u32 + j));
+        }
+    }
+    let b = block(random);
+    let mut draws = Draws(seed | 1);
+    for _ in 0..2 * random {
+        let (u, v) = (draws.below(random), draws.below(random));
+        edges.push((b + u as u32, b + v as u32));
+    }
+    let n = next as usize;
+    let mut relabel: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        relabel.swap(i, draws.below(i + 1));
+    }
+    let edges: Vec<(u32, u32)> = edges
+        .into_iter()
+        .map(|(u, v)| (relabel[u as usize], relabel[v as usize]))
+        .collect();
+    Graph::from_edges(n, &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn bounded_diameter_matches_all_sources_on_structured_unions(
+        sizes in proptest::collection::vec(1usize..24, 7),
+        cycle_extra in 2usize..20,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut sizes = sizes;
+        sizes[2] = cycle_extra + 1; // a cycle needs 3 vertices
+        let g = structured_union(&sizes, seed);
+        let expect = bfs::diameter(&g);
+        for workers in [1usize, 2, 4] {
+            let got = with_threads(workers, || frontier::diameter(&g));
+            prop_assert_eq!(got, expect, "workers {} sizes {:?}", workers, sizes);
+        }
+    }
 
     #[test]
     fn parallel_bfs_and_cc_match_serial_references(

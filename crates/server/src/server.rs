@@ -170,6 +170,9 @@ pub enum MetricResult {
         diameter: u32,
         /// Normalized algebraic connectivity of the largest component.
         algebraic_connectivity: f64,
+        /// Whether the Lanczos run behind `algebraic_connectivity` met
+        /// its residual bound; served so an estimate is never silent.
+        algebraic_connectivity_converged: bool,
     },
     /// `(s, |E(L_s)|)` for `s = 1..=max_s`.
     Sweep(Vec<(u32, usize)>),
@@ -2190,12 +2193,16 @@ fn compute_metric(slg: &SLineGraph, metric: MetricKind) -> MetricResult {
         } else {
             slg.betweenness_sampled(samples as usize, seed)
         }),
-        MetricKind::Spectrum => MetricResult::Spectrum {
-            num_vertices: slg.num_vertices(),
-            num_edges: slg.num_edges(),
-            diameter: slg.s_diameter(),
-            algebraic_connectivity: slg.algebraic_connectivity(),
-        },
+        MetricKind::Spectrum => {
+            let lambda2 = slg.lambda2();
+            MetricResult::Spectrum {
+                num_vertices: slg.num_vertices(),
+                num_edges: slg.num_edges(),
+                diameter: slg.s_diameter(),
+                algebraic_connectivity: lambda2.value,
+                algebraic_connectivity_converged: lambda2.converged,
+            }
+        }
         MetricKind::Sweep { .. } => unreachable!("sweep computes via compute_sweep"),
     }
 }
@@ -2236,12 +2243,17 @@ fn render_metric(base: Json, params: &Params<'_>, result: &Arc<MetricResult>) ->
             num_edges,
             diameter,
             algebraic_connectivity,
+            algebraic_connectivity_converged,
         } => Ok((
             200,
             base.set("num_vertices", *num_vertices)
                 .set("num_edges", *num_edges)
                 .set("diameter", *diameter)
-                .set("algebraic_connectivity", *algebraic_connectivity),
+                .set("algebraic_connectivity", *algebraic_connectivity)
+                .set(
+                    "algebraic_connectivity_converged",
+                    *algebraic_connectivity_converged,
+                ),
         )),
         MetricResult::Sweep(_) => unreachable!("sweep renders in handle_sweep"),
     }
@@ -2590,6 +2602,10 @@ mod tests {
         let (_, status, body) = dispatch_text(state, &request("/datasets/paper/spectrum?s=2"));
         assert_eq!(status, 200);
         assert!(body.contains("\"algebraic_connectivity\""));
+        assert!(
+            body.contains("\"algebraic_connectivity_converged\":true"),
+            "{body}"
+        );
         let (_, status, body) = dispatch_text(state, &request("/datasets/paper/sweep?max_s=4"));
         assert_eq!(status, 200);
         assert!(
@@ -2867,12 +2883,17 @@ mod tests {
             {"dataset":"paper","op":"betweenness","s":2,"top":1},
             {"dataset":"ghost","op":"stats"},
             {"dataset":"paper","op":"sweep","max_s":2},
-            {"dataset":"paper","op":"slg","s":0}
+            {"dataset":"paper","op":"slg","s":0},
+            {"dataset":"paper","op":"spectrum","s":2}
         ]"#
         .to_vec();
         let (route, status, body) = dispatch_text(state, &req);
         assert_eq!((route, status), (Route::Query, 200), "{body}");
-        assert!(body.contains("\"count\":6"), "{body}");
+        assert!(body.contains("\"count\":7"), "{body}");
+        assert!(
+            body.contains("\"algebraic_connectivity_converged\":true"),
+            "{body}"
+        );
         assert!(body.contains("\"hyperedges\":4"), "{body}");
         assert!(body.contains("\"truncated\":true"), "{body}");
         assert!(body.contains("\"ranking\""), "{body}");

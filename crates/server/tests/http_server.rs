@@ -152,6 +152,10 @@ fn post_datasets_then_query() {
     let (status, body) = get(addr, "/datasets/boards/spectrum?s=2");
     assert_eq!(status, 200);
     assert!(body.contains("\"algebraic_connectivity\""), "{body}");
+    assert!(
+        body.contains("\"algebraic_connectivity_converged\":true"),
+        "{body}"
+    );
     let (status, _) = post(addr, "/datasets?profile=not-a-profile");
     assert_eq!(status, 400);
     handle.shutdown();

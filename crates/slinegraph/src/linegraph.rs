@@ -9,7 +9,7 @@
 use hyperline_graph::{
     betweenness, cc,
     graph::Graph,
-    spectral::{self, SpectralOptions},
+    spectral::{self, Lambda2, SpectralOptions},
 };
 use hyperline_util::telemetry::Span;
 use hyperline_util::IdSqueezer;
@@ -191,9 +191,18 @@ impl SLineGraph {
         hyperline_graph::bfs::distance(&self.graph, ge, gf)
     }
 
-    /// Normalized algebraic connectivity of the largest component
-    /// (Figure 6's y-axis).
+    /// Normalized algebraic connectivity λ₂ of the largest component
+    /// (Figure 6's y-axis): [`SLineGraph::lambda2`]'s value, for callers
+    /// that only plot it.
     pub fn algebraic_connectivity(&self) -> f64 {
+        self.lambda2().value
+    }
+
+    /// λ₂ of the largest component together with whether its Lanczos
+    /// run met the residual bound of the default
+    /// [`SpectralOptions`]; anything served or printed reports the flag.
+    /// Opens a `spectral` span with one `step` child per Lanczos step.
+    pub fn lambda2(&self) -> Lambda2 {
         let _span = Span::enter("spectral");
         spectral::normalized_algebraic_connectivity(&self.graph, SpectralOptions::default())
     }
@@ -214,8 +223,10 @@ impl SLineGraph {
     }
 
     /// s-diameter: the largest finite s-distance between any two
-    /// s-connected hyperedges (0 for empty line graphs). Source-parallel
-    /// over the frontier engine's batched sweeps.
+    /// s-connected hyperedges (0 for empty line graphs). Exact, from
+    /// eccentricity bounds per component ([`hyperline_graph::frontier::diameter`]):
+    /// a few BFS sweeps on small-world line graphs. Opens a `diameter`
+    /// span with one `sweep` child per BFS.
     pub fn s_diameter(&self) -> u32 {
         let _span = Span::enter("diameter");
         hyperline_graph::frontier::diameter(&self.graph)

@@ -102,6 +102,7 @@ fn graph_construction_byte_identical_across_worker_counts() {
 type Stage5Snapshot = (
     Vec<Vec<u32>>,   // connected components
     u32,             // s-diameter
+    (u64, bool),     // λ₂ bits and its convergence flag
     Vec<(u32, u64)>, // closeness ranking (score bits)
     Vec<(u32, u64)>, // sampled betweenness ranking (score bits)
 );
@@ -110,9 +111,11 @@ fn stage5_snapshot(slg: &hyperline_slinegraph::SLineGraph) -> Stage5Snapshot {
     let bits = |ranking: Vec<(u32, f64)>| -> Vec<(u32, u64)> {
         ranking.into_iter().map(|(e, s)| (e, s.to_bits())).collect()
     };
+    let lambda2 = slg.lambda2();
     (
         slg.connected_components(),
         slg.s_diameter(),
+        (lambda2.value.to_bits(), lambda2.converged),
         bits(slg.closeness()),
         bits(slg.betweenness_sampled(64, 7)),
     )
@@ -144,6 +147,7 @@ fn stage5_metrics_byte_identical_across_worker_counts() {
         slg.num_edges()
     );
     let reference = with_threads(1, || stage5_snapshot(slg));
+    assert!(reference.2 .1, "λ₂ did not converge");
     for workers in sweep_workers() {
         let got = with_threads(workers, || stage5_snapshot(slg));
         assert_eq!(

@@ -190,13 +190,20 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e),
             };
             let slg = build(&h, s);
+            let lambda2 = slg.lambda2();
             println!(
                 "s = {s}: |V| = {}, |E| = {}, diameter = {}, normalized algebraic connectivity = {:.6}",
                 slg.num_vertices(),
                 slg.num_edges(),
                 slg.s_diameter(),
-                slg.algebraic_connectivity()
+                lambda2.value
             );
+            if !lambda2.converged {
+                eprintln!(
+                    "warning: the normalized algebraic connectivity did not converge \
+                     within the Lanczos step cap; the value is an estimate"
+                );
+            }
         }
         "sweep" => {
             let h = match load(target) {
