@@ -9,7 +9,7 @@
 //!
 //! 1. `Type::name(..)` / `Self::name(..)` — methods/assoc fns of that
 //!    impl type; `module::name(..)` — functions in files whose stem
-//!    matches the qualifier (`http::read_request` →
+//!    matches the qualifier (`http::parse_head` →
 //!    `crates/server/src/http.rs`). A qualifier matching neither a
 //!    workspace type nor a module stem is a std/external path
 //!    (`Vec::new`, `thread::spawn`) and resolves to nothing — falling

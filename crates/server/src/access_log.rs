@@ -85,7 +85,7 @@ pub struct AccessRecord {
     /// Cache outcome (`hit` / `miss` / `coalesced`) when the route
     /// consulted a cache tier.
     pub cache: Option<&'static str>,
-    /// Time the connection waited in the accept queue before a worker
+    /// Time the request waited in the worker queue before a worker
     /// picked it up, microseconds.
     pub queue_wait_micros: u64,
     /// Time spent handling the request (parse to response), microseconds.

@@ -736,7 +736,7 @@ impl EventLoop {
             Phase::Head if conn.in_buf.is_empty() => {
                 self.close_conn(token, io::ErrorKind::ConnectionAborted);
             }
-            // Mid-head: same verdict the blocking parser gave.
+            // Mid-head: the request never completed.
             Phase::Head => {
                 self.state
                     .metrics
@@ -845,33 +845,21 @@ impl EventLoop {
     }
 
     fn handle_parse_error(&mut self, token: u64, err: ParseError) {
-        match err {
-            ParseError::Malformed(message) => {
-                self.state
-                    .metrics
-                    .bad_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.reject(token, 400, &message);
-            }
-            ParseError::Rejected { status, message } => {
-                self.state
-                    .metrics
-                    .bad_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.reject(token, status, &message);
-            }
-            // The incremental parser never reports I/O conditions, but
-            // exhaustiveness costs nothing: close quietly.
-            ParseError::ConnectionClosed | ParseError::Io(_) => {
-                self.close_conn(token, io::ErrorKind::InvalidData);
-            }
-        }
+        let (status, message) = match err {
+            ParseError::Malformed(message) => (400, message),
+            ParseError::Rejected { status, message } => (status, message),
+        };
+        self.state
+            .metrics
+            .bad_requests
+            .fetch_add(1, Ordering::Relaxed);
+        self.reject(token, status, &message);
     }
 
     /// Answers an error response from the loop itself and flushes to
     /// close. Any buffered inbound bytes are dropped — after a parse
     /// error the stream position is unknowable, so the connection never
-    /// serves another request (same rule as the blocking loop).
+    /// serves another request.
     fn reject(&mut self, token: u64, status: u16, message: &str) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;

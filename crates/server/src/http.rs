@@ -1,9 +1,10 @@
 //! A small, strict HTTP/1.1 request parser and response writer stack.
 //!
-//! Covers exactly what the query server needs: request line + headers +
-//! optional `Content-Length` body (with `Expect: 100-continue`
-//! handling), query-string splitting, keep-alive negotiation,
-//! fixed-length JSON responses for small bodies, and a
+//! Covers exactly what the query server needs: an incremental
+//! request-head parser ([`parse_head`]: request line + headers,
+//! `Content-Length` body framing, `Expect: 100-continue` detection —
+//! the event loop reads the body), query-string splitting, keep-alive
+//! negotiation, fixed-length JSON responses for small bodies, and a
 //! [`ChunkedWriter`] transfer-encoding adapter for streamed ones.
 //! Everything body-shaped takes `impl Write`, not `TcpStream`, so the
 //! writer stack composes (`json → gzip → chunked → socket`) and tests
@@ -11,7 +12,7 @@
 //! of headers, 1 MiB of body) since request bodies are small control
 //! messages — responses are the large direction.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted size of the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -107,13 +108,9 @@ impl<'a> Params<'a> {
     }
 }
 
-/// Why a request could not be parsed.
+/// Why a request head could not be parsed.
 #[derive(Debug)]
 pub enum ParseError {
-    /// The peer closed the connection before sending a request line.
-    ConnectionClosed,
-    /// Underlying socket error (including read timeouts).
-    Io(std::io::Error),
     /// The request was malformed; the message is client-facing.
     Malformed(String),
     /// The head parsed but the request must be refused with `status`,
@@ -132,19 +129,11 @@ pub enum ParseError {
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseError::ConnectionClosed => write!(f, "connection closed"),
-            ParseError::Io(e) => write!(f, "I/O error: {e}"),
             ParseError::Malformed(m) => write!(f, "malformed request: {m}"),
             ParseError::Rejected { status, message } => {
                 write!(f, "rejected request ({status}): {message}")
             }
         }
-    }
-}
-
-impl From<std::io::Error> for ParseError {
-    fn from(e: std::io::Error) -> Self {
-        ParseError::Io(e)
     }
 }
 
@@ -216,94 +205,10 @@ pub fn parse_query(raw: &str) -> Result<Vec<(String, String)>, String> {
         .collect()
 }
 
-/// Reads one `\n`-terminated line, enforcing `budget` *while* reading —
-/// a header line longer than the remaining budget is rejected before it
-/// is buffered, so a newline-less flood cannot grow memory unboundedly.
-fn read_crlf_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, ParseError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            if line.is_empty() {
-                return Err(ParseError::ConnectionClosed);
-            }
-            // EOF with a partial line: hand it up; the caller's grammar
-            // will reject whatever is incomplete.
-            break;
-        }
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(buf.len(), |i| i + 1);
-        if take > *budget {
-            return Err(ParseError::Malformed("headers exceed 8 KiB".into()));
-        }
-        *budget -= take;
-        line.extend_from_slice(&buf[..take]);
-        reader.consume(take);
-        if newline.is_some() {
-            break;
-        }
-    }
-    while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| ParseError::Malformed("non-UTF-8 header bytes".into()))
-}
-
-/// Reads and parses one request from `reader`.
-///
-/// `interim` receives 1xx interim responses: a conforming HTTP/1.1
-/// client that sent `Expect: 100-continue` waits for `100 Continue`
-/// before transmitting its body, so the parser must answer mid-read
-/// (previously such clients stalled until the read timeout).
-///
-/// Returns [`ParseError::ConnectionClosed`] when the peer closed the
-/// socket cleanly between requests (the keep-alive loop's exit signal);
-/// [`ParseError::Rejected`] means body bytes were left unread and the
-/// caller must answer the carried status and close the connection.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    interim: &mut impl Write,
-) -> Result<Request, ParseError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let request_line = read_crlf_line(reader, &mut budget)?;
-    let mut header_lines = Vec::new();
-    loop {
-        let line = match read_crlf_line(reader, &mut budget) {
-            Ok(line) => line,
-            // EOF mid-headers is malformed, not a clean close.
-            Err(ParseError::ConnectionClosed) => {
-                return Err(ParseError::Malformed(
-                    "connection closed mid-headers".into(),
-                ))
-            }
-            Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            break;
-        }
-        header_lines.push(line);
-    }
-    let head = finish_head(&request_line, header_lines)?;
-    let mut request = head.request;
-    // A 100-continue client sends nothing until told to proceed (1xx
-    // responses predate HTTP/1.1, so never send one to a 1.0 client —
-    // they would read it as the final response).
-    if head.expect_continue {
-        interim.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-        interim.flush()?;
-    }
-    if head.body_len > 0 {
-        let mut body = vec![0u8; head.body_len];
-        reader.read_exact(&mut body)?;
-        request.body = body;
-    }
-    Ok(request)
-}
-
-/// A fully validated request head: everything [`read_request`] decides
-/// before the body, surfaced so the evented loop can act on it — read
-/// `body_len` more bytes, and send the interim `100 Continue` first
-/// when `expect_continue` is set.
+/// A fully validated request head: everything decided before the body,
+/// surfaced so the evented loop can act on it — read `body_len` more
+/// bytes, and send the interim `100 Continue` first when
+/// `expect_continue` is set.
 pub struct ParsedHead {
     /// The parsed request, body still empty.
     pub request: Request,
@@ -314,11 +219,11 @@ pub struct ParsedHead {
     pub expect_continue: bool,
 }
 
-/// The grammar and policy checks shared by the blocking
-/// [`read_request`] and the incremental [`parse_head`]: request-line
-/// shape, version, path/query decoding, header syntax, and the
-/// body-framing rules (transfer codings refused, duplicate or oversized
-/// `Content-Length` rejected, `Expect` validated).
+/// The grammar and policy checks of a complete head, once
+/// [`parse_head`] has split its lines: request-line shape, version,
+/// path/query decoding, header syntax, and the body-framing rules
+/// (transfer codings refused, duplicate or oversized `Content-Length`
+/// rejected, `Expect` validated).
 fn finish_head(request_line: &str, header_lines: Vec<String>) -> Result<ParsedHead, ParseError> {
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target), Some(version), None) =
@@ -407,6 +312,9 @@ fn finish_head(request_line: &str, header_lines: Vec<String>) -> Result<ParsedHe
         }
         body_len = len;
     }
+    // A 100-continue client sends nothing until told to proceed. 1xx
+    // responses predate HTTP/1.1: a 1.0 client would read one as the
+    // final response, so it never gets one.
     let expect_continue = body_len > 0 && expect.is_some() && !request.http10;
     Ok(ParsedHead {
         request,
@@ -424,7 +332,9 @@ fn finish_head(request_line: &str, header_lines: Vec<String>) -> Result<ParsedHe
 /// * `Ok(Some((head, consumed)))` — a complete, validated head occupied
 ///   `buf[..consumed]`; the remainder is body bytes and/or pipelined
 ///   requests.
-/// * `Err` — same grammar and policy verdicts as [`read_request`].
+/// * `Err` — the head is malformed ([`ParseError::Malformed`], answered
+///   400) or must be refused with a status ([`ParseError::Rejected`]);
+///   either way the connection closes after the answer.
 pub fn parse_head(buf: &[u8]) -> Result<Option<(ParsedHead, usize)>, ParseError> {
     let mut request_line: Option<String> = None;
     let mut header_lines: Vec<String> = Vec::new();
@@ -713,10 +623,11 @@ impl Write for CountingWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// The request of a complete head (its body, if any, not attached).
     fn parse(text: &str) -> Result<Request, ParseError> {
-        read_request(&mut BufReader::new(text.as_bytes()), &mut Vec::new())
+        let (head, _) = parse_head(text.as_bytes())?.expect("complete head");
+        Ok(head.request)
     }
 
     #[test]
@@ -733,9 +644,11 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let r = parse("POST /datasets?name=z HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello").unwrap();
-        assert_eq!(r.method, "POST");
-        assert_eq!(r.body, b"hello");
+        let raw = b"POST /datasets?name=z HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello";
+        let (head, consumed) = parse_head(raw).unwrap().expect("complete head");
+        assert_eq!(head.request.method, "POST");
+        assert_eq!(head.body_len, 5);
+        assert_eq!(&raw[consumed..], b"hello");
     }
 
     #[test]
@@ -753,124 +666,6 @@ mod tests {
         assert!(!r.keep_alive(), "HTTP/1.0 default is close");
         let r = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(r.keep_alive(), "explicit keep-alive opts in");
-    }
-
-    #[test]
-    fn clean_eof_reports_connection_closed() {
-        assert!(matches!(parse(""), Err(ParseError::ConnectionClosed)));
-    }
-
-    #[test]
-    fn eof_mid_headers_is_malformed() {
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nHost: a\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(matches!(
-            parse("NOT-HTTP\r\n\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("GET / SPDY/9\r\n\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\ncontent-length: wat\r\n\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn rejects_oversized_head() {
-        let huge = format!(
-            "GET / HTTP/1.1\r\nx: {}\r\n\r\n",
-            "a".repeat(MAX_HEAD_BYTES)
-        );
-        assert!(matches!(parse(&huge), Err(ParseError::Malformed(_))));
-    }
-
-    #[test]
-    fn rejects_endless_line_without_buffering_it() {
-        // An infinite stream with no newline must be rejected at the
-        // budget, not buffered until OOM.
-        let mut reader = BufReader::new(std::io::repeat(b'a'));
-        assert!(matches!(
-            read_request(&mut reader, &mut Vec::new()),
-            Err(ParseError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn rejects_non_utf8_header_bytes() {
-        let raw: &[u8] = b"GET / HTTP/1.1\r\nx: \xff\xfe\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut BufReader::new(raw), &mut Vec::new()),
-            Err(ParseError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_body_is_rejected_without_reading_it() {
-        // The body bytes stay on the socket, so the error must instruct
-        // the caller to close (Rejected), not continue the keep-alive
-        // loop into a desync.
-        let r = parse(&format!(
-            "POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        ));
-        assert!(matches!(r, Err(ParseError::Rejected { status: 400, .. })));
-    }
-
-    #[test]
-    fn expect_100_continue_emits_interim_response_before_body() {
-        let raw = "POST /query HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 5\r\n\r\nhello";
-        let mut interim = Vec::new();
-        let r = read_request(&mut BufReader::new(raw.as_bytes()), &mut interim).unwrap();
-        assert_eq!(r.body, b"hello");
-        assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
-        // Case-insensitive expectation value.
-        let raw = "POST / HTTP/1.1\r\nExpect: 100-Continue\r\ncontent-length: 2\r\n\r\nok";
-        let mut interim = Vec::new();
-        read_request(&mut BufReader::new(raw.as_bytes()), &mut interim).unwrap();
-        assert!(!interim.is_empty());
-        // No body declared: nothing to wait for, no interim response.
-        let raw = "GET / HTTP/1.1\r\nexpect: 100-continue\r\n\r\n";
-        let mut interim = Vec::new();
-        read_request(&mut BufReader::new(raw.as_bytes()), &mut interim).unwrap();
-        assert!(interim.is_empty());
-        // 1xx responses must never go to an HTTP/1.0 client.
-        let raw = "POST / HTTP/1.0\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\nok";
-        let mut interim = Vec::new();
-        read_request(&mut BufReader::new(raw.as_bytes()), &mut interim).unwrap();
-        assert!(interim.is_empty());
-    }
-
-    #[test]
-    fn unsupported_expectation_is_417() {
-        let r = parse("POST / HTTP/1.1\r\nexpect: teleport\r\ncontent-length: 2\r\n\r\nok");
-        assert!(matches!(r, Err(ParseError::Rejected { status: 417, .. })));
-    }
-
-    #[test]
-    fn transfer_encoded_request_bodies_are_501() {
-        // Ignoring the header would desync the connection (the chunked
-        // body would be parsed as the next request).
-        let r = parse("POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n");
-        assert!(matches!(r, Err(ParseError::Rejected { status: 501, .. })));
-    }
-
-    #[test]
-    fn duplicate_content_length_is_malformed() {
-        let r = parse("POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\nokx");
-        assert!(matches!(r, Err(ParseError::Malformed(_))));
     }
 
     #[test]
@@ -1061,6 +856,10 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\n";
         let (head, _) = parse_head(raw).unwrap().expect("complete head");
         assert!(head.expect_continue);
+        // The expectation value is case-insensitive.
+        let raw = b"POST / HTTP/1.1\r\nExpect: 100-Continue\r\ncontent-length: 2\r\n\r\n";
+        let (head, _) = parse_head(raw).unwrap().expect("complete head");
+        assert!(head.expect_continue);
         // No body declared: nothing to invite.
         let raw = b"GET / HTTP/1.1\r\nexpect: 100-continue\r\n\r\n";
         let (head, _) = parse_head(raw).unwrap().expect("complete head");
@@ -1072,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_head_matches_blocking_verdicts() {
+    fn parse_head_rejects_malformed_and_refused_heads() {
         assert!(matches!(
             parse_head(b"NOT-HTTP\r\n\r\n"),
             Err(ParseError::Malformed(_))
@@ -1091,6 +890,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_head(b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\n"),
+            Err(ParseError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse_head(b"GET / HTTP/1.1\r\ncontent-length: wat\r\n\r\n"),
             Err(ParseError::Malformed(_))
         ));
         assert!(matches!(

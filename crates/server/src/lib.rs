@@ -55,8 +55,9 @@
 //! * [`metrics`] — per-endpoint request counters and latency
 //!   *histograms* (p50/p90/p99/p999), per-tier cache hit/miss and
 //!   transport (streamed/gzipped) reporting at `GET /metrics` — as JSON
-//!   or Prometheus text exposition (`?format=prometheus`); pipeline
-//!   stage spans aggregate per dataset at `GET /debug/pipeline`;
+//!   or Prometheus text exposition (`?format=prometheus`), both walked
+//!   from one table that declares each metric once; pipeline stage
+//!   spans aggregate per dataset at `GET /debug/pipeline`;
 //! * [`access_log`] — structured JSONL request logs (request ID, route,
 //!   cache outcome, queue wait, bytes out) on a non-blocking writer
 //!   thread, enabled with `--access-log`.

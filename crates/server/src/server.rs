@@ -32,7 +32,7 @@ use crate::event::{spawn_event_loop, RequestJob};
 use crate::gzip::GzipWriter;
 use crate::http::{self, ChunkedWriter, Params, Request};
 use crate::json::{Json, StreamFragment};
-use crate::metrics::{Route, ServerMetrics};
+use crate::metrics::{Readout, Route, ServerMetrics};
 use crate::registry::{DatasetRegistry, DatasetSource};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -60,7 +60,8 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Artifact-cache budget in mebibytes.
     pub cache_mb: usize,
-    /// Bounded accept-queue depth (overflow answers 503).
+    /// Bounded worker-queue depth: parsed requests wait here for a
+    /// worker (overflow answers 503).
     pub queue_depth: usize,
     /// Idle keep-alive / slow-client read timeout.
     pub read_timeout: Duration,
@@ -296,9 +297,9 @@ pub struct ServerState {
     active_computations: std::sync::atomic::AtomicUsize,
     /// Sandbox root for `POST /datasets?path=` (None = disabled).
     data_root: Option<std::path::PathBuf>,
-    started: Instant,
+    pub(crate) started: Instant,
     /// Unix seconds at startup (`/metrics` build info).
-    started_unix: u64,
+    pub(crate) started_unix: u64,
     /// Aggregated pipeline stage spans per dataset, collected from cold
     /// computations (`GET /debug/pipeline`, `/datasets/{d}/stats`).
     pipeline_spans: Mutex<FxHashMap<String, FxHashMap<String, StageAgg>>>,
@@ -307,7 +308,7 @@ pub struct ServerState {
     /// Request-ID generator for the access log.
     request_ids: RequestIds,
     /// Watchdog thread arming per-request deadlines.
-    watchdog: Watchdog,
+    pub(crate) watchdog: Watchdog,
     /// Set while a drain is in progress: the event loop sheds new
     /// connections and keep-alive responses switch to
     /// `Connection: close` after their in-flight response.
@@ -1007,8 +1008,14 @@ fn dispatch_full(
         ("GET", ["healthz"]) => (Route::Health, Ok((200, handle_health(state)))),
         ("GET", ["metrics"]) => {
             let result = match request.query_param("format") {
-                None | Some("json") => Ok((200, handle_metrics(state))),
-                Some("prometheus") => Ok((200, render_prometheus(state))),
+                None | Some("json") => Ok((200, Readout::new(state).json())),
+                Some("prometheus") => Ok((
+                    200,
+                    Json::Text {
+                        content_type: http::CONTENT_TYPE_PROMETHEUS,
+                        body: Readout::new(state).exposition(),
+                    },
+                )),
                 Some(other) => Err((400, format!("unknown metrics format {other:?}"))),
             };
             (Route::Metrics, result)
@@ -1113,533 +1120,6 @@ fn handle_health(state: &ServerState) -> Json {
         .set("ok", true)
         .set("datasets", state.registry.len())
         .set("uptime_secs", state.started.elapsed().as_secs())
-}
-
-/// Renders a latency histogram's summary for the `/metrics` JSON body:
-/// count, exact average/max, and the p50/p90/p99/p999 quantiles.
-fn render_histogram(histogram: &hyperline_util::telemetry::Histogram) -> Json {
-    let snapshot = histogram.snapshot();
-    let count = snapshot.count();
-    Json::obj()
-        .set("count", count)
-        .set("avg_micros", snapshot.sum().checked_div(count).unwrap_or(0))
-        .set("max_micros", snapshot.max())
-        .set("p50", snapshot.quantile(0.50))
-        .set("p90", snapshot.quantile(0.90))
-        .set("p99", snapshot.quantile(0.99))
-        .set("p999", snapshot.quantile(0.999))
-}
-
-/// Renders one tier's statistics for `/metrics`.
-fn render_cache_stats(
-    stats: crate::cache::CacheStats,
-    lock_hold: &hyperline_util::telemetry::Histogram,
-) -> Json {
-    Json::obj()
-        .set("hits", stats.hits)
-        .set("misses", stats.misses)
-        .set("coalesced", stats.coalesced)
-        .set("evictions", stats.evictions)
-        .set("negative_hits", stats.negative_hits)
-        .set("gave_up", stats.gave_up)
-        .set("cancelled", stats.cancelled)
-        .set("entries", stats.entries)
-        .set("used_bytes", stats.used_bytes)
-        .set("budget_bytes", stats.budget_bytes)
-        .set("lock_hold", render_histogram(lock_hold))
-}
-
-fn handle_metrics(state: &ServerState) -> Json {
-    let mut endpoints = Json::obj();
-    for route in Route::ALL {
-        let c = state.metrics.endpoint(route);
-        endpoints = endpoints.set(
-            route.name(),
-            Json::obj()
-                .set("requests", c.requests.load(Ordering::Relaxed))
-                .set("errors", c.errors.load(Ordering::Relaxed))
-                .set("latency", render_histogram(&c.latency)),
-        );
-    }
-    Json::obj()
-        .set(
-            "build",
-            Json::obj()
-                .set("version", env!("CARGO_PKG_VERSION"))
-                .set("commit", env!("HYPERLINE_GIT_COMMIT"))
-                .set("started_unix", state.started_unix)
-                .set("uptime_secs", state.started.elapsed().as_secs()),
-        )
-        .set(
-            "connections",
-            Json::obj()
-                .set(
-                    "accepted",
-                    state.metrics.connections_accepted.load(Ordering::Relaxed),
-                )
-                .set(
-                    "rejected",
-                    state.metrics.connections_rejected.load(Ordering::Relaxed),
-                )
-                .set(
-                    "bad_requests",
-                    state.metrics.bad_requests.load(Ordering::Relaxed),
-                ),
-        )
-        .set(
-            "pool",
-            Json::obj()
-                .set(
-                    "queue_depth",
-                    state.metrics.queue_depth.load(Ordering::Relaxed),
-                )
-                .set(
-                    "busy_workers",
-                    state.metrics.busy_workers.load(Ordering::Relaxed),
-                )
-                .set("queue_wait", render_histogram(&state.metrics.queue_wait)),
-        )
-        .set(
-            "transport",
-            Json::obj()
-                .set(
-                    "streamed_responses",
-                    state.metrics.streamed_responses.load(Ordering::Relaxed),
-                )
-                .set(
-                    "gzip_responses",
-                    state.metrics.gzip_responses.load(Ordering::Relaxed),
-                )
-                .set(
-                    "client_aborts",
-                    state.metrics.client_aborts.load(Ordering::Relaxed),
-                )
-                .set(
-                    "write_stalls",
-                    state.metrics.write_stalls.load(Ordering::Relaxed),
-                )
-                .set("gzip_encode", render_histogram(&state.metrics.gzip_encode))
-                .set(
-                    "event_loop",
-                    Json::obj()
-                        .set(
-                            "open_connections",
-                            state.metrics.event_loop_connections.load(Ordering::Relaxed),
-                        )
-                        .set(
-                            "wakeups",
-                            state.metrics.event_loop_wakeups.load(Ordering::Relaxed),
-                        )
-                        .set(
-                            "eagain_yields",
-                            state.metrics.eagain_yields.load(Ordering::Relaxed),
-                        ),
-                ),
-        )
-        .set(
-            "lifecycle",
-            Json::obj()
-                .set(
-                    "deadline_expired",
-                    state.metrics.deadline_expired.load(Ordering::Relaxed),
-                )
-                .set(
-                    "slow_loris_closes",
-                    state.metrics.slow_loris_closes.load(Ordering::Relaxed),
-                )
-                .set("watchdog_expired", state.watchdog.expired_total()),
-        )
-        .set(
-            "drain",
-            Json::obj()
-                .set("draining", state.draining.load(Ordering::Relaxed))
-                .set(
-                    "drained_connections",
-                    state.metrics.drained_connections.load(Ordering::Relaxed),
-                )
-                .set(
-                    "aborted_connections",
-                    state.metrics.aborted_connections.load(Ordering::Relaxed),
-                ),
-        )
-        // Always present (and always zero in release builds, where
-        // failpoints compile to no-ops) so the schema is build-stable.
-        .set(
-            "faults",
-            Json::obj().set("injected", failpoint::total_fired()),
-        )
-        .set(
-            "cache",
-            Json::obj()
-                .set(
-                    "artifacts",
-                    render_cache_stats(state.cache.stats(), state.cache.lock_hold_histogram()),
-                )
-                .set(
-                    "metrics",
-                    render_cache_stats(
-                        state.metric_cache.stats(),
-                        state.metric_cache.lock_hold_histogram(),
-                    ),
-                ),
-        )
-        .set("endpoints", endpoints)
-}
-
-/// Renders the whole metrics surface as Prometheus text exposition
-/// format 0.0.4 (`GET /metrics?format=prometheus`) — counters, gauges,
-/// and full `_bucket`/`_sum`/`_count` histogram series.
-fn render_prometheus(state: &ServerState) -> Json {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(8 * 1024);
-
-    let counter = |out: &mut String, name: &str, help: &str, series: &[(String, u64)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
-    };
-    let gauge = |out: &mut String, name: &str, help: &str, series: &[(String, i64)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
-    };
-    /// One exposition histogram family from label → snapshot pairs.
-    fn histogram_family(
-        out: &mut String,
-        name: &str,
-        help: &str,
-        series: &[(String, hyperline_util::telemetry::HistogramSnapshot)],
-    ) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for (labels, snapshot) in series {
-            // `labels` is either empty or `{key="value"}`; bucket rows
-            // splice `le` into the existing label set.
-            let inner = labels.trim_start_matches('{').trim_end_matches('}');
-            let prefix = if inner.is_empty() {
-                String::new()
-            } else {
-                format!("{inner},")
-            };
-            for (le, cumulative) in snapshot.cumulative_buckets() {
-                let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{prefix}le=\"+Inf\"}} {}",
-                snapshot.count()
-            );
-            let _ = writeln!(out, "{name}_sum{labels} {}", snapshot.sum());
-            let _ = writeln!(out, "{name}_count{labels} {}", snapshot.count());
-        }
-    }
-    let no_labels = String::new();
-    let label = |key: &str, value: &str| format!("{{{key}=\"{value}\"}}");
-
-    let _ = writeln!(
-        out,
-        "# HELP hyperline_build_info Build metadata (value is always 1)."
-    );
-    let _ = writeln!(out, "# TYPE hyperline_build_info gauge");
-    let _ = writeln!(
-        out,
-        "hyperline_build_info{{version=\"{}\",commit=\"{}\"}} 1",
-        env!("CARGO_PKG_VERSION"),
-        env!("HYPERLINE_GIT_COMMIT"),
-    );
-    gauge(
-        &mut out,
-        "hyperline_process_start_time_seconds",
-        "Unix time the server started.",
-        &[(no_labels.clone(), state.started_unix as i64)],
-    );
-    gauge(
-        &mut out,
-        "hyperline_uptime_seconds",
-        "Seconds since the server started.",
-        &[(no_labels.clone(), state.started.elapsed().as_secs() as i64)],
-    );
-
-    let m = &state.metrics;
-    counter(
-        &mut out,
-        "hyperline_connections_accepted_total",
-        "Connections accepted into the worker queue.",
-        &[(
-            no_labels.clone(),
-            m.connections_accepted.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_connections_rejected_total",
-        "Connections shed with 503 because the queue was full.",
-        &[(
-            no_labels.clone(),
-            m.connections_rejected.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_bad_requests_total",
-        "Requests whose HTTP parse failed.",
-        &[(no_labels.clone(), m.bad_requests.load(Ordering::Relaxed))],
-    );
-    counter(
-        &mut out,
-        "hyperline_streamed_responses_total",
-        "Responses streamed instead of buffered.",
-        &[(
-            no_labels.clone(),
-            m.streamed_responses.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_gzip_responses_total",
-        "Streamed responses compressed with gzip.",
-        &[(no_labels.clone(), m.gzip_responses.load(Ordering::Relaxed))],
-    );
-    counter(
-        &mut out,
-        "hyperline_client_aborts_total",
-        "Mid-stream client disconnects handled as quiet closes.",
-        &[(no_labels.clone(), m.client_aborts.load(Ordering::Relaxed))],
-    );
-    counter(
-        &mut out,
-        "hyperline_write_stalls_total",
-        "Response writes aborted because the socket stalled past the write timeout.",
-        &[(no_labels.clone(), m.write_stalls.load(Ordering::Relaxed))],
-    );
-    counter(
-        &mut out,
-        "hyperline_slow_loris_closes_total",
-        "Request heads abandoned by the cumulative head deadline.",
-        &[(
-            no_labels.clone(),
-            m.slow_loris_closes.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_deadline_expired_total",
-        "Requests whose deadline expired before their response finished.",
-        &[(
-            no_labels.clone(),
-            m.deadline_expired.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_drained_connections_total",
-        "Keep-alive connections that closed cleanly during a drain.",
-        &[(
-            no_labels.clone(),
-            m.drained_connections.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_aborted_connections_total",
-        "Connections hard-closed because they outlived the drain bound.",
-        &[(
-            no_labels.clone(),
-            m.aborted_connections.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_faults_injected_total",
-        "Failpoint faults injected (always zero in release builds).",
-        &[(no_labels.clone(), failpoint::total_fired())],
-    );
-    gauge(
-        &mut out,
-        "hyperline_draining",
-        "1 while a graceful drain is in progress.",
-        &[(
-            no_labels.clone(),
-            i64::from(state.draining.load(Ordering::Relaxed)),
-        )],
-    );
-
-    gauge(
-        &mut out,
-        "hyperline_queue_depth",
-        "Connections waiting in the accept queue.",
-        &[(no_labels.clone(), m.queue_depth.load(Ordering::Relaxed))],
-    );
-    gauge(
-        &mut out,
-        "hyperline_busy_workers",
-        "Workers currently serving a connection.",
-        &[(no_labels.clone(), m.busy_workers.load(Ordering::Relaxed))],
-    );
-    gauge(
-        &mut out,
-        "hyperline_event_loop_open_connections",
-        "Connections currently owned by the event loop.",
-        &[(
-            no_labels.clone(),
-            m.event_loop_connections.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_event_loop_wakeups_total",
-        "epoll_wait returns processed by the event loop.",
-        &[(
-            no_labels.clone(),
-            m.event_loop_wakeups.load(Ordering::Relaxed),
-        )],
-    );
-    counter(
-        &mut out,
-        "hyperline_event_loop_eagain_total",
-        "Socket drains that yielded on EAGAIN and re-armed EPOLLOUT.",
-        &[(no_labels.clone(), m.eagain_yields.load(Ordering::Relaxed))],
-    );
-    histogram_family(
-        &mut out,
-        "hyperline_queue_wait_micros",
-        "Time connections waited in the accept queue, microseconds.",
-        &[(no_labels.clone(), m.queue_wait.snapshot())],
-    );
-    histogram_family(
-        &mut out,
-        "hyperline_gzip_encode_micros",
-        "Time the gzip encoder spent compressing per response (CRC, matching, Huffman coding; not its writes to the socket buffer), microseconds.",
-        &[(no_labels.clone(), m.gzip_encode.snapshot())],
-    );
-
-    let requests: Vec<(String, u64)> = Route::ALL
-        .iter()
-        .map(|&r| {
-            (
-                label("route", r.name()),
-                m.endpoint(r).requests.load(Ordering::Relaxed),
-            )
-        })
-        .collect();
-    counter(
-        &mut out,
-        "hyperline_requests_total",
-        "Requests served, by route.",
-        &requests,
-    );
-    let errors: Vec<(String, u64)> = Route::ALL
-        .iter()
-        .map(|&r| {
-            (
-                label("route", r.name()),
-                m.endpoint(r).errors.load(Ordering::Relaxed),
-            )
-        })
-        .collect();
-    counter(
-        &mut out,
-        "hyperline_request_errors_total",
-        "Requests answered 4xx/5xx, by route.",
-        &errors,
-    );
-    let latencies: Vec<(String, hyperline_util::telemetry::HistogramSnapshot)> = Route::ALL
-        .iter()
-        .map(|&r| (label("route", r.name()), m.endpoint(r).latency.snapshot()))
-        .collect();
-    histogram_family(
-        &mut out,
-        "hyperline_request_duration_micros",
-        "Request handling latency, microseconds, by route.",
-        &latencies,
-    );
-
-    let tiers = [
-        (
-            "artifacts",
-            state.cache.stats(),
-            state.cache.lock_hold_histogram(),
-        ),
-        (
-            "metrics",
-            state.metric_cache.stats(),
-            state.metric_cache.lock_hold_histogram(),
-        ),
-    ];
-    for (family, pick) in [
-        ("hits", 0usize),
-        ("misses", 1),
-        ("coalesced", 2),
-        ("evictions", 3),
-        ("negative_hits", 4),
-        ("gave_up", 5),
-        ("cancelled", 6),
-    ] {
-        let series: Vec<(String, u64)> = tiers
-            .iter()
-            .map(|(tier, stats, _)| {
-                let value = [
-                    stats.hits,
-                    stats.misses,
-                    stats.coalesced,
-                    stats.evictions,
-                    stats.negative_hits,
-                    stats.gave_up,
-                    stats.cancelled,
-                ][pick];
-                (label("tier", tier), value)
-            })
-            .collect();
-        counter(
-            &mut out,
-            &format!("hyperline_cache_{family}_total"),
-            &format!("Cache {family}, by tier."),
-            &series,
-        );
-    }
-    for (family, help, pick) in [
-        ("entries", "Live cache entries, by tier.", 0usize),
-        ("used_bytes", "Bytes resident in the cache, by tier.", 1),
-        ("budget_bytes", "Cache byte budget, by tier.", 2),
-    ] {
-        let series: Vec<(String, i64)> = tiers
-            .iter()
-            .map(|(tier, stats, _)| {
-                let value = [
-                    stats.entries as i64,
-                    stats.used_bytes as i64,
-                    stats.budget_bytes as i64,
-                ][pick];
-                (label("tier", tier), value)
-            })
-            .collect();
-        gauge(
-            &mut out,
-            &format!("hyperline_cache_{family}"),
-            help,
-            &series,
-        );
-    }
-    let holds: Vec<(String, hyperline_util::telemetry::HistogramSnapshot)> = tiers
-        .iter()
-        .map(|(tier, _, hold)| (label("tier", tier), hold.snapshot()))
-        .collect();
-    histogram_family(
-        &mut out,
-        "hyperline_cache_lock_hold_micros",
-        "Time the cache mutex was held per acquisition, microseconds.",
-        &holds,
-    );
-
-    Json::Text {
-        content_type: http::CONTENT_TYPE_PROMETHEUS,
-        body: out,
-    }
 }
 
 fn handle_list(state: &ServerState) -> Json {
@@ -3129,6 +2609,129 @@ mod tests {
         let (head, raw_body) = split_response(&wire);
         assert!(raw_body.is_empty(), "HEAD must not send the exposition");
         assert!(head.contains("content-length:"), "{head}");
+    }
+
+    /// Both `/metrics` formats, row by row: for every label value, the
+    /// JSON leaf at the row's path and the Prometheus sample of its
+    /// family hold the same number (a histogram's `count` its `_count`),
+    /// and the exposition declares exactly the table's families.
+    #[test]
+    fn metrics_json_and_prometheus_agree_on_every_row() {
+        use crate::metrics::{Value, METRICS};
+        let server = test_server();
+        let state = server.state();
+        // Distinct nonzero values everywhere, so a value rendered under
+        // another row's name would show.
+        let m = &state.metrics;
+        let counters = [
+            &m.connections_accepted,
+            &m.connections_rejected,
+            &m.bad_requests,
+            &m.streamed_responses,
+            &m.gzip_responses,
+            &m.client_aborts,
+            &m.write_stalls,
+            &m.slow_loris_closes,
+            &m.deadline_expired,
+            &m.drained_connections,
+            &m.aborted_connections,
+            &m.event_loop_wakeups,
+            &m.eagain_yields,
+        ];
+        for (counter, v) in counters.iter().zip(101..) {
+            counter.store(v, Ordering::Relaxed);
+        }
+        let gauges = [&m.queue_depth, &m.busy_workers, &m.event_loop_connections];
+        for (gauge, v) in gauges.iter().zip(201..) {
+            gauge.store(v, Ordering::Relaxed);
+        }
+        m.queue_wait.record(17);
+        m.gzip_encode.record(900);
+        for (i, &route) in Route::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                let status = if i % 2 == 0 { 200 } else { 500 };
+                m.record(route, status, Duration::from_micros(10 * i as u64 + 1));
+            }
+        }
+        let _ = dispatch_text(state, &request("/datasets/paper/betweenness?s=2"));
+        let _ = dispatch_text(state, &request("/datasets/paper/betweenness?s=2"));
+        let _deadline = state.watchdog.arm(Duration::from_millis(1));
+        let until = Instant::now() + Duration::from_secs(10);
+        while state.watchdog.expired_total() == 0 {
+            assert!(Instant::now() < until, "watchdog never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // One readout renders both formats, so they see the same values.
+        let readout = Readout::new(state);
+        let json = readout.json();
+        let text = readout.exposition();
+        assert_valid_exposition(&text);
+        let samples: std::collections::HashMap<&str, &str> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.rsplit_once(' '))
+            .collect();
+        let families: std::collections::BTreeSet<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect();
+        let names: std::collections::BTreeSet<&str> = METRICS.iter().map(|m| m.name).collect();
+        assert_eq!(names.len(), METRICS.len(), "a family name repeats");
+        assert_eq!(families, names);
+
+        let mut exported = Vec::new();
+        for metric in METRICS {
+            for (label, value) in readout.samples(metric) {
+                let (path, labels) = match label {
+                    Some((key, v)) => (metric.path.replace('*', v), format!("{{{key}=\"{v}\"}}")),
+                    None => (metric.path.to_string(), String::new()),
+                };
+                let leaf = path
+                    .split('.')
+                    .try_fold(&json, |node, key| node.get(key))
+                    .unwrap_or_else(|| panic!("no JSON leaf at {path}"));
+                let sample = |suffix: &str, labels: &str| {
+                    let series = format!("{}{suffix}{labels}", metric.name);
+                    samples.get(series.as_str()).map(|v| v.to_string())
+                };
+                // Prometheus naming: counters, and only counters, end in
+                // `_total`.
+                let counter = matches!(value, Value::Counter(_));
+                assert_eq!(counter, metric.name.ends_with("_total"), "{}", metric.name);
+                match value {
+                    Value::Counter(_) | Value::Gauge(_) | Value::Flag(_) => {
+                        let number = match leaf {
+                            Json::Int(v) => *v,
+                            Json::Bool(b) => i128::from(*b),
+                            other => panic!("{path}: {other:?}"),
+                        };
+                        exported.push(number);
+                        assert_eq!(sample("", &labels), Some(number.to_string()), "{path}");
+                    }
+                    Value::Histogram(_) => {
+                        let count = leaf.get("count").and_then(Json::as_int);
+                        let count = count.map(|c| c.to_string());
+                        assert_eq!(sample("_count", &labels), count, "{path}");
+                    }
+                    Value::Info(pairs) => {
+                        let labels: Vec<String> =
+                            pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                        let labels = format!("{{{}}}", labels.join(","));
+                        assert_eq!(sample("", &labels).as_deref(), Some("1"));
+                        for (key, v) in pairs {
+                            assert_eq!(leaf.get(key).and_then(Json::as_str), Some(*v));
+                        }
+                    }
+                }
+            }
+        }
+        for seeded in (101..=113).chain(201..=203) {
+            assert!(
+                exported.contains(&seeded),
+                "seeded {seeded} is not exported"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use hyperline_server::{Server, ServerConfig};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Minimal HTTP/1.1 client: one request, `Connection: close`, returns
@@ -317,6 +318,54 @@ fn malformed_requests_get_400_and_close() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    handle.shutdown();
+}
+
+/// EOF inside a request head answers 400 and counts a bad request; EOF
+/// between requests is a quiet keep-alive close that counts nothing.
+#[test]
+fn eof_mid_head_is_a_bad_request_and_eof_between_requests_is_not() {
+    let (handle, _) = start_server("lesMis", 2);
+    let addr = handle.addr();
+    let metrics = &handle.state().metrics;
+    let bad_requests = || metrics.bad_requests.load(Ordering::Relaxed);
+    // Sends `bytes`, shuts the write half, and reads until the server
+    // closes.
+    let exchange = |bytes: &[u8]| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(bytes).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    };
+
+    let raw = exchange(b"GET / HTTP/1.1\r\nHost: a\r\n");
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    assert!(raw.contains("connection closed mid-headers"), "{raw}");
+    assert_eq!(bad_requests(), 1);
+
+    // A close before the first byte, and one right after a complete
+    // keep-alive exchange. Wait until the loop has registered and
+    // closed both, so the check cannot run ahead of the EOFs.
+    drop(TcpStream::connect(addr).unwrap());
+    let raw = exchange(b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.connections_accepted.load(Ordering::Relaxed) < 3
+        || metrics.event_loop_connections.load(Ordering::Relaxed) > 0
+    {
+        assert!(Instant::now() < deadline, "connections never closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        bad_requests(),
+        1,
+        "a close between requests is no bad request"
+    );
     handle.shutdown();
 }
 

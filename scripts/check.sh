@@ -20,7 +20,10 @@
 #   7. cargo test -q --workspace — every package's unit, integration
 #      and doc tests, the counting oracles and the server suites
 #      included, among them the /metrics JSON key-set check against
-#      scripts/metrics_schema.txt (also --fast) — then the chaos suite
+#      scripts/metrics_schema.txt and the cross-format check that every
+#      metric-table row reads the same in the JSON body and the
+#      Prometheus exposition (metrics_json_and_prometheus_agree_on_every_row)
+#      (also --fast) — then the chaos suite
 #      by name (deadline/cancel, slow-client, fault-injection, and
 #      drain invariants — also --fast)
 #   8. the two smoke benchmarks (skipped with --fast) — server (cold vs
