@@ -256,10 +256,12 @@ fn read_keep_alive_response(stream: &mut TcpStream) -> Result<String, String> {
 
 /// Concurrent-connections section: the evented core's headline claim.
 /// Parks 100 / 1k / 10k open keep-alive sockets (capped by the fd
-/// limit — each in-process client costs three fds: the client end, the
-/// server socket, and the connection tracker's dup) and measures
-/// request p50/p99 with all of them open. Idle sockets cost the loop
-/// nothing but a timer entry, so latency should stay flat across tiers.
+/// limit — each in-process client costs two fds: the client end and
+/// the server socket) and measures request p50/p99 with all of them
+/// open. Idle sockets cost the loop nothing but a timer entry, so
+/// latency should stay flat across tiers. Each tier reports as
+/// `connections` the loop's own connection gauge, read just before the
+/// probes.
 ///
 /// The probed sockets are the tier's last 50, connected only once the
 /// rest of the tier is registered: each socket's idle timer starts at
@@ -267,7 +269,7 @@ fn read_keep_alive_response(stream: &mut TcpStream) -> Result<String, String> {
 /// timeout against however long the tier took to set up.
 fn concurrency_section() -> Json {
     let fd_limit = read_fd_limit().unwrap_or(1024);
-    let max_open = (fd_limit.saturating_sub(512) / 3).max(64);
+    let max_open = (fd_limit.saturating_sub(512) / 2).max(64);
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 4,
@@ -298,7 +300,6 @@ fn concurrency_section() -> Json {
             println!("concurrency: tier {target} capped to {open} by fd limit {fd_limit}");
         }
         let sample = open.min(50);
-        let first_connect = Instant::now();
         let mut parked: Vec<TcpStream> = Vec::with_capacity(open);
         // The loop owns a connection once it is epoll-registered; wait
         // for the gauge to account for `count` parked sockets. Returns
@@ -321,7 +322,12 @@ fn concurrency_section() -> Json {
         // The probed sockets connect last, so their idle timers start
         // just before the probes however long the bulk took.
         let all_registered = park(&mut parked, open);
-        max_sustained = max_sustained.max(gauge());
+        let connections = gauge();
+        assert!(
+            bulk_registered && all_registered,
+            "tier {target}: the loop holds {connections} of {open} parked sockets"
+        );
+        max_sustained = max_sustained.max(connections);
         // p50/p99 of sequential probes round-robined over the newest
         // parked (live, keep-alive) sockets.
         let probes = 200usize;
@@ -332,15 +338,8 @@ fn concurrency_section() -> Json {
             write!(stream, "GET /healthz HTTP/1.1\r\nhost: bench\r\n\r\n").expect("probe write");
             let response = read_keep_alive_response(stream).unwrap_or_else(|e| {
                 panic!(
-                    "probe {i} at the {open}-socket tier: {e} ({:.1} s since the tier's \
-                     first connect, gauge {}, gauge wait {})",
-                    first_connect.elapsed().as_secs_f64(),
-                    gauge(),
-                    if bulk_registered && all_registered {
-                        "met"
-                    } else {
-                        "timed out"
-                    }
+                    "probe {i} at the {open}-socket tier: {e} (gauge {})",
+                    gauge()
                 )
             });
             assert!(response.starts_with("HTTP/1.1 200"), "{response}");
@@ -348,11 +347,13 @@ fn concurrency_section() -> Json {
         }
         micros.sort_by(|a, b| a.total_cmp(b));
         let (p50, p99) = (percentile(&micros, 0.5), percentile(&micros, 0.99));
-        println!("concurrency    {open:>6} open sockets   p50 {p50:>7.0} us   p99 {p99:>7.0} us");
+        println!(
+            "concurrency    {connections:>6} open sockets   p50 {p50:>7.0} us   p99 {p99:>7.0} us"
+        );
         tiers.push(
             Json::obj()
                 .set("target", target)
-                .set("connections", open)
+                .set("connections", connections)
                 .set("p50_micros", p50)
                 .set("p99_micros", p99),
         );

@@ -360,9 +360,9 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
     /// awareness. When `deadline` is given:
     ///
     /// * the request registers interest in the flight's [`CancelToken`]
-    ///   for as long as it participates — the watchdog releases that
-    ///   interest at expiry, and the compute is only cancelled (kernel
-    ///   loops exit, coordinator unwinds to this function's
+    ///   for as long as it participates — the deadline releases that
+    ///   interest when it fires, and the compute is only cancelled
+    ///   (kernel loops exit, coordinator unwinds to this function's
     ///   `catch_unwind`, flight resolves to [`cancel::CANCELLED`]) when
     ///   *every* participant's interest is gone;
     /// * a **waiter** whose deadline passes stops waiting and returns
@@ -428,8 +428,8 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
         };
 
         // Hold this participant's interest in the flight for the span of
-        // the call: attached to the deadline (watchdog releases at
-        // expiry, guard releases at return), or permanently when the
+        // the call: attached to the deadline (released when it fires,
+        // or by the guard at return), or permanently when the
         // request has no deadline — a flight with an undeadlined
         // participant is never cancelled.
         let _interest = match deadline {
@@ -669,9 +669,10 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
         inner.negative.retain(|k, _| k.dataset() != dataset);
     }
 
-    /// Current statistics snapshot.
+    /// Current statistics snapshot. Read under the plain mutex, not the
+    /// timed guard: a `/metrics` scrape is not a hold worth recording.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -22,25 +22,29 @@
 //! self-pipe [`crate::sys::Waker`], so a worker finishing mid-`epoll_wait`
 //! wakes the loop immediately.
 //!
-//! PR 9's lifecycle maps onto a lazily-invalidated timer heap instead
-//! of per-thread `SO_RCVTIMEO`/`SO_SNDTIMEO`: *Idle* (keep-alive gap,
-//! `read_timeout`), *Request* (cumulative head+body budget from the
-//! first head byte, `head_timeout` — the slow-loris defense), and
-//! *Flush* (no socket progress while streaming, `write_timeout`). Each
-//! connection holds one logical timer; arming bumps a generation so
-//! stale heap entries fire as no-ops.
+//! The loop owns lifecycle time and the live connections (its map is
+//! the only list of them). One lazily invalidated timer heap holds five
+//! kinds of timer. A connection holds at most one of three: *Idle*
+//! (keep-alive gap, `read_timeout`), *Request* (cumulative head+body
+//! budget from the first head byte, `head_timeout` — the slow-loris
+//! defense), and *Flush* (no socket progress while streaming,
+//! `write_timeout`); arming bumps its generation so stale heap entries
+//! fire as no-ops. A *Deadline* is a request deadline a worker posted:
+//! it fires even after its connection closed, and as a no-op once its
+//! request finished. *Drain* is the server's drain instant, at which the
+//! loop closes every connection still open.
 
 use crate::http::{self, ParseError, ParsedHead};
 use crate::json::Json;
 use crate::metrics::GaugeGuard;
 use crate::pool::WorkerPool;
 use crate::server::ServerState;
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::{AtomicU32, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use crate::sys;
+use hyperline_util::cancel::{Deadline, DeadlineTimer};
 use hyperline_util::failpoint;
 use hyperline_util::FxHashMap;
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,9 +63,16 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Response bytes buffered per connection before the worker blocks
 /// (the backpressure bound between compute and a slow reader).
 const OUT_BUF_CAP: usize = 256 * 1024;
-/// Idle poll bound so shutdown and drain flags are noticed promptly
-/// even with no timers armed.
+/// Idle poll bound so stop requests and a begun drain are noticed
+/// promptly even with no timers armed.
 const MAX_POLL: Duration = Duration::from_millis(500);
+
+/// Stop requests from [`crate::server::ServerHandle`], read once per
+/// loop turn: keep serving, stop once the drain has finished, or stop
+/// now.
+pub(crate) const RUN: u32 = 0;
+pub(crate) const STOP_AFTER_DRAIN: u32 = 1;
+pub(crate) const STOP_NOW: u32 = 2;
 
 /// What a [`OutBuf::drain_with`] pass left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,6 +250,9 @@ pub(crate) enum Completion {
         /// Whether remaining buffered bytes should still be delivered.
         flush: bool,
     },
+    /// A request deadline for the timer heap (see
+    /// [`RequestJob::start_deadline`]).
+    Deadline(DeadlineTimer),
 }
 
 /// The worker→loop completion channel: a mutex-guarded batch plus the
@@ -297,6 +311,16 @@ impl RequestJob {
             conn: self.conn,
             timeout: self.write_timeout,
         }
+    }
+
+    /// Starts this request's deadline, `budget` from now. The loop's
+    /// timer heap fires it; the returned handle must live until the
+    /// response is written.
+    pub(crate) fn start_deadline(&self, budget: Duration) -> Deadline {
+        let deadline = Deadline::new(Instant::now() + budget);
+        self.completions
+            .push(Completion::Deadline(deadline.timer()));
+        deadline
     }
 
     /// Reports the request finished; consumes the job so `Drop` stays
@@ -380,29 +404,66 @@ impl Phase {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A connection's timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
     Idle,
     Request,
     Flush,
 }
 
-/// Heap entry: min-ordered by deadline via `Reverse`. `gen` must match
-/// the connection's current generation to fire — arming or disarming
-/// bumps the generation, lazily invalidating whatever is in the heap.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    /// Fires only if `gen` is still the connection's generation —
+    /// arming or disarming bumps it, lazily invalidating whatever is in
+    /// the heap.
+    Conn {
+        token: u64,
+        gen: u64,
+        kind: TimerKind,
+    },
+    /// A request deadline, independent of its connection.
+    Deadline(DeadlineTimer),
+    /// The drain instant.
+    Drain,
+}
+
+/// Heap entry, ordered soonest-first (`BinaryHeap` is a max-heap, so
+/// the comparison is reversed).
 struct TimerEntry {
     at: Instant,
-    token: u64,
-    gen: u64,
-    kind: TimerKind,
+    timer: Timer,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.at.cmp(&self.at)
+    }
+}
+
+/// Where the loop stands with the server's drain.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drain {
+    /// No drain seen yet.
+    Off,
+    /// The drain instant is in the heap; closes until then are graceful.
+    Armed,
+    /// Every connection closed, gracefully or at the instant.
+    Done,
 }
 
 struct Conn {
     stream: TcpStream,
-    /// Drain-tracker registration (a dup of the socket), if cloning
-    /// succeeded.
-    tracker_id: Option<u64>,
     phase: Phase,
     /// Unparsed inbound bytes (head fragments, early body, pipelined
     /// requests).
@@ -425,10 +486,11 @@ pub(crate) struct EventLoop {
     pool: Option<WorkerPool<RequestJob>>,
     completions: Arc<Completions>,
     conns: FxHashMap<u64, Conn>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
+    timers: BinaryHeap<TimerEntry>,
     next_token: u64,
     read_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
+    drain: Drain,
+    stop: Arc<AtomicU32>,
 }
 
 impl EventLoop {
@@ -439,10 +501,10 @@ impl EventLoop {
         completions: Arc<Completions>,
         pool: WorkerPool<RequestJob>,
         read_timeout: Duration,
-        shutdown: Arc<AtomicBool>,
+        stop: Arc<AtomicU32>,
     ) -> io::Result<EventLoop> {
         let epoll = sys::Epoll::new()?;
-        sys::set_nonblocking(listener.as_raw_fd())?;
+        listener.set_nonblocking(true)?;
         epoll.add(listener.as_raw_fd(), LISTENER, sys::EPOLLIN)?;
         epoll.add(waker.read_fd(), WAKER, sys::EPOLLIN)?;
         Ok(EventLoop {
@@ -456,21 +518,26 @@ impl EventLoop {
             timers: BinaryHeap::new(),
             next_token: 0,
             read_timeout,
-            shutdown,
+            drain: Drain::Off,
+            stop,
         })
     }
 
     fn run(&mut self) {
         let mut events = vec![sys::EpollEvent::zeroed(); MAX_EVENTS];
         loop {
-            // ordering: pairs with the Release store in
-            // `ServerHandle::shutdown`; seeing the flag must also see
-            // every write the shutting-down thread made before it.
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
             self.fire_timers();
             self.process_completions();
+            self.poll_drain();
+            // ordering: pairs with the Release store in
+            // `ServerHandle::stop`; seeing the request must also see
+            // every write the stopping thread made before it (the drain
+            // instant included).
+            match self.stop.load(Ordering::Acquire) {
+                STOP_NOW => break,
+                STOP_AFTER_DRAIN if self.drain == Drain::Done => break,
+                _ => {}
+            }
             let timeout = self.next_timeout();
             if failpoint::check("epoll.wait").is_some() {
                 // Injected spurious/failed wait: the loop must degrade
@@ -536,7 +603,7 @@ impl EventLoop {
 
     fn next_timeout(&self) -> Duration {
         match self.timers.peek() {
-            Some(Reverse(entry)) => entry
+            Some(entry) => entry
                 .at
                 .saturating_duration_since(Instant::now())
                 .min(MAX_POLL),
@@ -550,12 +617,10 @@ impl EventLoop {
         };
         conn.timer_gen += 1;
         let gen = conn.timer_gen;
-        self.timers.push(Reverse(TimerEntry {
+        self.timers.push(TimerEntry {
             at: Instant::now() + budget,
-            token,
-            gen,
-            kind,
-        }));
+            timer: Timer::Conn { token, gen, kind },
+        });
     }
 
     fn disarm_timer(&mut self, token: u64) {
@@ -566,44 +631,87 @@ impl EventLoop {
 
     fn fire_timers(&mut self) {
         let now = Instant::now();
-        loop {
-            match self.timers.peek() {
-                Some(Reverse(entry)) if entry.at <= now => {}
-                _ => return,
-            }
-            let Some(Reverse(entry)) = self.timers.pop() else {
+        while self.timers.peek().is_some_and(|entry| entry.at <= now) {
+            let Some(entry) = self.timers.pop() else {
                 return;
             };
-            let live = self
-                .conns
-                .get(&entry.token)
-                .is_some_and(|conn| conn.timer_gen == entry.gen);
-            if !live {
-                continue; // stale: re-armed, disarmed, or conn gone
-            }
-            match entry.kind {
-                // Keep-alive gap expired with no request in sight.
-                TimerKind::Idle => self.close_conn(entry.token, io::ErrorKind::TimedOut),
-                // Cumulative head+body budget blown: a slow-loris
-                // client loses its connection, quietly (answering
-                // would reward the drip with more socket time).
-                TimerKind::Request => {
-                    self.state
-                        .metrics
-                        .slow_loris_closes
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.close_conn(entry.token, io::ErrorKind::TimedOut);
+            match entry.timer {
+                Timer::Conn { token, gen, kind } => {
+                    let live = self
+                        .conns
+                        .get(&token)
+                        .is_some_and(|conn| conn.timer_gen == gen);
+                    if !live {
+                        continue; // stale: re-armed, disarmed, or conn gone
+                    }
+                    let metrics = &self.state.metrics;
+                    let counter = match kind {
+                        // Keep-alive gap expired with no request in sight.
+                        TimerKind::Idle => None,
+                        // Cumulative head+body budget blown: a slow-loris
+                        // client loses its connection, quietly (answering
+                        // would reward the drip with more socket time).
+                        TimerKind::Request => Some(&metrics.slow_loris_closes),
+                        // No socket progress while flushing a finished
+                        // response: dead or pathologically slow reader.
+                        TimerKind::Flush => Some(&metrics.write_stalls),
+                    };
+                    if let Some(counter) = counter {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.close_conn(token, io::ErrorKind::TimedOut);
                 }
-                // No socket progress while flushing a finished
-                // response: dead or pathologically slow reader.
-                TimerKind::Flush => {
-                    self.state
-                        .metrics
-                        .write_stalls
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.close_conn(entry.token, io::ErrorKind::TimedOut);
+                // Fired even when the connection is gone: the request's
+                // compute may still be running for nobody.
+                Timer::Deadline(deadline) => {
+                    if deadline.fire() {
+                        self.state
+                            .metrics
+                            .deadlines_fired
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
                 }
+                Timer::Drain => self.abort_stragglers(),
             }
+        }
+    }
+
+    // ---- drain -----------------------------------------------------
+
+    /// Arms the drain instant on the first turn that sees a drain begun,
+    /// and marks the drain done once no connection is left. New
+    /// connections are shed from the moment the drain begins, so the
+    /// set only shrinks.
+    fn poll_drain(&mut self) {
+        if self.drain == Drain::Off {
+            let Some(at) = self.state.drain_at() else {
+                return;
+            };
+            self.timers.push(TimerEntry {
+                at,
+                timer: Timer::Drain,
+            });
+            self.drain = Drain::Armed;
+        }
+        if self.drain == Drain::Armed && self.conns.is_empty() {
+            self.drain = Drain::Done;
+        }
+    }
+
+    /// The drain instant: closes every connection still open, counted
+    /// as aborted rather than drained.
+    fn abort_stragglers(&mut self) {
+        if self.drain != Drain::Armed {
+            return;
+        }
+        self.drain = Drain::Done;
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        self.state
+            .metrics
+            .aborted_connections
+            .fetch_add(tokens.len() as u64, Ordering::Relaxed);
+        for token in tokens {
+            self.close_conn(token, io::ErrorKind::ConnectionAborted);
         }
     }
 
@@ -629,32 +737,23 @@ impl EventLoop {
 
     fn register_conn(&mut self, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        if self.state.draining.load(Ordering::Relaxed) {
+        if self.state.is_draining() {
             // Draining: stop taking work; tell clients when to come
             // back.
             self.state
                 .metrics
                 .connections_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            crate::server::shed_connection(&mut stream, "server draining, retry later");
+            shed(&mut stream, "server draining, retry later");
             return;
         }
         let token = self.next_token;
         self.next_token += 1;
-        // A dup registers with the drain tracker so a drain can
-        // hard-close this connection from outside the loop.
-        let tracker_id = stream
-            .try_clone()
-            .ok()
-            .map(|dup| self.state.connections.register(dup));
         if self
             .epoll
             .add(stream.as_raw_fd(), token, sys::EPOLLIN)
             .is_err()
         {
-            if let Some(id) = tracker_id {
-                self.state.connections.deregister(id);
-            }
             return;
         }
         self.state
@@ -669,7 +768,6 @@ impl EventLoop {
             token,
             Conn {
                 stream,
-                tracker_id,
                 phase: Phase::Head,
                 in_buf: Vec::new(),
                 out: Arc::new(OutBuf::new()),
@@ -864,23 +962,8 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let body = Json::obj().set("error", message).render();
-        let mut response = Vec::new();
-        if status == 503 {
-            let length = body.len().to_string();
-            let _ = http::write_response_head(
-                &mut response,
-                503,
-                http::CONTENT_TYPE_JSON,
-                false,
-                &[("content-length", &length), ("retry-after", "1")],
-            );
-            let _ = response.write_all(body.as_bytes());
-        } else {
-            let _ = http::write_response(&mut response, status, &body, false);
-        }
         conn.in_buf.clear();
-        conn.out.append(&response);
+        conn.out.append(&error_response(status, message));
         self.start_flush(token, false);
     }
 
@@ -942,16 +1025,24 @@ impl EventLoop {
                     keep_alive,
                     flush,
                 } => self.finish_request(conn, keep_alive, flush),
+                Completion::Deadline(deadline) => self.timers.push(TimerEntry {
+                    at: deadline.at(),
+                    timer: Timer::Deadline(deadline),
+                }),
             }
         }
     }
 
     fn finish_request(&mut self, token: u64, keep_alive: bool, flush: bool) {
-        let Some(conn) = self.conns.get(&token) else {
+        // A connection closed while its worker ran is gone from the map,
+        // and tokens never repeat: only that request's Busy connection
+        // can be waiting for this Done.
+        let busy = self
+            .conns
+            .get(&token)
+            .is_some_and(|conn| matches!(conn.phase, Phase::Busy));
+        if !busy {
             return;
-        };
-        if !matches!(conn.phase, Phase::Busy) {
-            return; // already closed and token reused? tokens never reuse; stale Done after close
         }
         if !flush {
             // The worker's write path failed and already classified the
@@ -1095,29 +1186,20 @@ impl EventLoop {
         }
     }
 
-    /// Removes and closes one connection: epoll deregistration first
-    /// (the drain tracker's dup keeps the open file description alive,
-    /// so the kernel would not auto-remove the entry), then the OutBuf
-    /// closes with `kind` to wake any blocked worker, then the drain
-    /// accounting the old per-connection guard did.
+    /// Removes and closes one connection. Dropping the stream closes its
+    /// only fd, which also removes it from the epoll set; the OutBuf
+    /// closes with `kind` to wake any blocked worker. A close after a
+    /// drain began and before its instant counts as drained.
     fn close_conn(&mut self, token: u64, kind: io::ErrorKind) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        let _ = self.epoll.delete(conn.stream.as_raw_fd());
         conn.out.close(kind);
-        if let Some(id) = conn.tracker_id {
-            // A close while draining counts as a graceful drain;
-            // hard-closed connections were already claimed by
-            // `ConnectionTracker::close_all` and book under
-            // `aborted_connections` instead.
-            if self.state.connections.deregister(id) && self.state.draining.load(Ordering::Relaxed)
-            {
-                self.state
-                    .metrics
-                    .drained_connections
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+        if self.drain != Drain::Done && self.state.is_draining() {
+            self.state
+                .metrics
+                .drained_connections
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.state
             .metrics
@@ -1128,11 +1210,19 @@ impl EventLoop {
     /// Orderly stop: close every connection **before** joining the pool
     /// — closing wakes workers blocked on OutBuf space, so the join can
     /// never deadlock against a worker waiting for a drain that will
-    /// not come.
+    /// not come. With no timer left to fire them, the pending request
+    /// deadlines fire now: their responses can no longer be delivered,
+    /// so the join need not wait out those computes.
     fn teardown(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close_conn(token, io::ErrorKind::ConnectionAborted);
+        }
+        self.process_completions();
+        for entry in self.timers.drain() {
+            if let Timer::Deadline(deadline) = entry.timer {
+                deadline.fire();
+            }
         }
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
@@ -1140,16 +1230,57 @@ impl EventLoop {
     }
 }
 
+/// An error response the loop answers itself: parse rejections, and
+/// overload and drain sheds, whose `503` carries `Retry-After: 1`.
+fn error_response(status: u16, message: &str) -> Vec<u8> {
+    let body = Json::obj().set("error", message).render();
+    let length = body.len().to_string();
+    let mut headers = vec![("content-length", length.as_str())];
+    if status == 503 {
+        headers.push(("retry-after", "1"));
+    }
+    let mut response = Vec::new();
+    let _ = http::write_response_head(
+        &mut response,
+        status,
+        http::CONTENT_TYPE_JSON,
+        false,
+        &headers,
+    );
+    response.extend_from_slice(body.as_bytes());
+    response
+}
+
+/// Sheds a connection before it is registered: `503` with a
+/// `Retry-After` hint, written straight to the socket. The socket is
+/// nonblocking, as `accept4` returns it, so the loop never waits here:
+/// the tiny 503 fits the socket buffer, and the read below stops at
+/// `WouldBlock`.
+fn shed(stream: &mut TcpStream, message: &str) {
+    let _ = stream.write_all(&error_response(503, message));
+    // The client almost certainly sent its request head already; closing
+    // with those bytes unread makes the kernel answer RST, which can
+    // discard the 503 before the client reads it. Drain what is already
+    // buffered, bounded, so the close is a clean FIN and the 503 survives.
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => continue,
+            _ => break,
+        }
+    }
+}
+
 /// Starts the worker pool and the event-loop thread; returns the join
-/// handle and the waker [`crate::server::ServerHandle::shutdown`] uses
-/// to interrupt `epoll_wait`.
+/// handle and the waker [`crate::server::ServerHandle`] uses to
+/// interrupt `epoll_wait` after a stop request.
 pub(crate) fn spawn_event_loop(
     listener: TcpListener,
     state: Arc<ServerState>,
     threads: usize,
     queue_depth: usize,
     read_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<AtomicU32>,
 ) -> (std::thread::JoinHandle<()>, Arc<sys::Waker>) {
     let waker = Arc::new(sys::Waker::new().expect("failed to create event-loop waker"));
     let completions = Arc::new(Completions::new(Arc::clone(&waker)));
@@ -1177,7 +1308,7 @@ pub(crate) fn spawn_event_loop(
                 completions,
                 pool,
                 read_timeout,
-                shutdown,
+                stop,
             )
             .expect("failed to create epoll instance");
             event_loop.run();

@@ -164,6 +164,9 @@ pub struct ServerMetrics {
     /// Requests whose deadline expired before their response finished
     /// (answered 504 or aborted mid-stream).
     pub deadline_expired: AtomicU64,
+    /// Request deadlines the event loop fired before their request
+    /// finished.
+    pub deadlines_fired: AtomicU64,
     /// Keep-alive connections that finished their in-flight work and
     /// closed cleanly during a drain.
     pub drained_connections: AtomicU64,
@@ -393,15 +396,15 @@ pub(crate) static METRICS: &[Metric] = &[
     },
     Metric {
         name: "hyperline_watchdog_expired_total",
-        help: "Request deadlines the watchdog fired while still armed.",
+        help: "Request deadlines the event loop fired before their request finished.",
         path: "lifecycle.watchdog_expired",
-        read: Read::Plain(|s| Value::Counter(s.watchdog.expired_total())),
+        read: Read::Plain(|s| Value::Counter(s.metrics.deadlines_fired.load(Ordering::Relaxed))),
     },
     Metric {
         name: "hyperline_draining",
         help: "1 while a graceful drain is in progress.",
         path: "drain.draining",
-        read: Read::Plain(|s| Value::Flag(s.draining.load(Ordering::Relaxed))),
+        read: Read::Plain(|s| Value::Flag(s.is_draining())),
     },
     Metric {
         name: "hyperline_drained_connections_total",
@@ -508,8 +511,7 @@ pub(crate) static METRICS: &[Metric] = &[
 ];
 
 /// What one `/metrics` response reads. Each cache tier's statistics are
-/// taken once, up front — reading them takes the tier's lock, which
-/// records a lock-hold sample — so both renderings of one readout agree.
+/// taken once, up front, so both renderings of one readout agree.
 pub(crate) struct Readout<'a> {
     state: &'a ServerState,
     tiers: [(&'static str, TierStats<'a>); 2],

@@ -28,13 +28,13 @@ use crate::access_log::{AccessLog, AccessRecord, RequestIds};
 use crate::cache::{
     AlgoKind, ArtifactCache, CacheKey, CacheOutcome, MetricKey, MetricKind, SingleFlightCache,
 };
-use crate::event::{spawn_event_loop, RequestJob};
+use crate::event::{spawn_event_loop, RequestJob, RUN, STOP_AFTER_DRAIN, STOP_NOW};
 use crate::gzip::GzipWriter;
 use crate::http::{self, ChunkedWriter, Params, Request};
 use crate::json::{Json, StreamFragment};
 use crate::metrics::{Readout, Route, ServerMetrics};
 use crate::registry::{DatasetRegistry, DatasetSource};
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU32, Ordering};
 use crate::sync::{Arc, Mutex};
 use crate::sys;
 use hyperline_hypergraph::Hypergraph;
@@ -42,13 +42,14 @@ use hyperline_slinegraph::{
     algo1_slinegraph, algo2_slinegraph_weighted, naive_slinegraph, spgemm_slinegraph, SLineGraph,
     Strategy,
 };
-use hyperline_util::cancel::{self, Deadline, Watchdog};
+use hyperline_util::cancel::{self, Deadline};
 use hyperline_util::failpoint;
 use hyperline_util::parallel::{par_map_slice, with_threads};
 use hyperline_util::telemetry::{self, Span, StageAgg};
 use hyperline_util::FxHashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Server configuration (all fields have serviceable defaults).
@@ -84,16 +85,18 @@ pub struct ServerConfig {
     /// (dead or pathologically slow reader) aborts the stream and frees
     /// the worker.
     pub write_timeout: Duration,
-    /// Wall-clock budget per request, dispatch through response write;
-    /// expiry cancels the compute (once every interested request gave
-    /// up) and answers 504. `None` disables request deadlines.
+    /// Wall-clock budget per request, dispatch through response write,
+    /// fired from the event loop's timer heap; expiry cancels the
+    /// compute (once every interested request gave up) and answers 504.
+    /// `None` disables request deadlines.
     pub request_deadline: Option<Duration>,
     /// Per-route deadline overrides; an entry here wins over
     /// `request_deadline` for that route.
     pub route_deadlines: Vec<(Route, Duration)>,
-    /// Default bound for a graceful drain (`POST /admin/drain`,
-    /// [`ServerHandle::drain`]): in-flight connections get this long to
-    /// finish before being hard-closed.
+    /// Default bound for a graceful drain (`POST /admin/drain` without
+    /// `?deadline_ms=`): connections get this long to finish before the
+    /// event loop closes the rest. [`ServerHandle::drain`] takes its
+    /// own bound.
     pub drain_deadline: Duration,
     /// Negative-cache TTL: a failed compute's error is re-served for
     /// this long before a recompute is allowed, so a deterministically
@@ -307,14 +310,11 @@ pub struct ServerState {
     access_log: Option<AccessLog>,
     /// Request-ID generator for the access log.
     request_ids: RequestIds,
-    /// Watchdog thread arming per-request deadlines.
-    pub(crate) watchdog: Watchdog,
-    /// Set while a drain is in progress: the event loop sheds new
-    /// connections and keep-alive responses switch to
-    /// `Connection: close` after their in-flight response.
-    pub(crate) draining: AtomicBool,
-    /// Live connections, for the drain's bounded wait and hard close.
-    pub(crate) connections: ConnectionTracker,
+    /// The drain instant, set once when a drain begins: from then on
+    /// the event loop sheds new connections and keep-alive responses
+    /// switch to `Connection: close`; at the instant the loop closes
+    /// the connections still open.
+    drain_at: OnceLock<Instant>,
     /// Wall-clock budget per request (`None` = no deadline).
     request_deadline: Option<Duration>,
     /// Per-route overrides over `request_deadline`.
@@ -328,58 +328,6 @@ pub struct ServerState {
     /// worker's wait for hand-off buffer space and the event loop's
     /// zero-progress window while flushing.
     pub(crate) write_timeout: Duration,
-}
-
-/// Live-connection registry for graceful drain. The event loop
-/// registers a `try_clone`d handle of each accepted stream; the drain
-/// thread hard-closes stragglers through that clone (`shutdown()` makes
-/// the loop's reads and writes on the socket fail promptly, which
-/// closes the connection on its next readiness event).
-#[derive(Default)]
-pub(crate) struct ConnectionTracker {
-    streams: Mutex<FxHashMap<u64, TcpStream>>,
-    next_id: AtomicU64,
-}
-
-impl ConnectionTracker {
-    pub(crate) fn register(&self, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, stream);
-        id
-    }
-
-    /// Removes a finished connection; `false` means the drain already
-    /// claimed (hard-closed) it.
-    pub(crate) fn deregister(&self, id: u64) -> bool {
-        self.streams
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&id)
-            .is_some()
-    }
-
-    fn len(&self) -> usize {
-        self.streams.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// Hard-closes every still-registered connection, returning how many
-    /// were aborted. Claiming the map entries here is what keeps the
-    /// drained/aborted counters disjoint: the worker's own deregister
-    /// then finds nothing and books no drained close.
-    fn close_all(&self) -> usize {
-        let streams: Vec<TcpStream> = {
-            let mut map = self.streams.lock().unwrap_or_else(|p| p.into_inner());
-            map.drain().map(|(_, s)| s).collect()
-        };
-        let aborted = streams.len();
-        for stream in streams {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        aborted
-    }
 }
 
 impl ServerState {
@@ -410,28 +358,38 @@ impl ServerState {
         self.access_log.as_ref()
     }
 
-    /// Arms a watchdog deadline for one request on `route`: the
-    /// per-route override wins, then the global default; `None` when
-    /// neither is configured (deadlines disabled).
-    fn deadline_for(&self, route: Route) -> Option<Deadline> {
-        let budget = self
-            .route_deadlines
+    /// The deadline budget for one request on `route`: the per-route
+    /// override wins, then the global default; `None` when neither is
+    /// configured (deadlines disabled).
+    fn deadline_budget(&self, route: Route) -> Option<Duration> {
+        self.route_deadlines
             .iter()
             .find(|(r, _)| *r == route)
             .map(|&(_, d)| d)
-            .or(self.request_deadline)?;
-        Some(self.watchdog.arm(budget))
+            .or(self.request_deadline)
     }
 
-    /// Whether a drain is in progress (the acceptor is shedding and
+    /// Begins a drain ending `bound` from now; `false` when a drain had
+    /// already begun (its instant stands).
+    fn begin_drain(&self, bound: Duration) -> bool {
+        self.drain_at.set(Instant::now() + bound).is_ok()
+    }
+
+    /// The drain instant, once a drain has begun.
+    pub(crate) fn drain_at(&self) -> Option<Instant> {
+        self.drain_at.get().copied()
+    }
+
+    /// Whether a drain has begun (new connections are shed and
     /// keep-alive connections close after their in-flight response).
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
+        self.drain_at.get().is_some()
     }
 
-    /// Connections currently registered with the drain tracker.
+    /// Connections the event loop holds open.
     pub fn live_connections(&self) -> usize {
-        self.connections.len()
+        let open = self.metrics.event_loop_connections.load(Ordering::Relaxed);
+        usize::try_from(open).unwrap_or(0)
     }
 }
 
@@ -447,6 +405,7 @@ impl Server {
     /// until [`Server::spawn`], so datasets can be preloaded in between.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        sys::listen_at_max_backlog(&listener)?;
         let access_log = match &config.access_log {
             Some(path) => Some(AccessLog::to_file(path, config.access_log_sample)?),
             None => None,
@@ -470,9 +429,7 @@ impl Server {
             pipeline_spans: Mutex::new(FxHashMap::default()),
             access_log,
             request_ids: RequestIds::new(),
-            watchdog: Watchdog::new(),
-            draining: AtomicBool::new(false),
-            connections: ConnectionTracker::default(),
+            drain_at: OnceLock::new(),
             request_deadline: config.request_deadline,
             route_deadlines: config.route_deadlines.clone(),
             drain_deadline: config.drain_deadline,
@@ -522,7 +479,7 @@ impl Server {
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
         let threads = self.threads();
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicU32::new(RUN));
         let state = Arc::clone(&self.state);
         let (loop_thread, waker) = spawn_event_loop(
             self.listener,
@@ -530,11 +487,11 @@ impl Server {
             threads,
             self.config.queue_depth,
             self.config.read_timeout,
-            Arc::clone(&shutdown),
+            Arc::clone(&stop),
         );
         ServerHandle {
             addr,
-            shutdown,
+            stop,
             waker,
             loop_thread: Some(loop_thread),
             state,
@@ -555,7 +512,7 @@ impl Server {
 /// [`ServerHandle::shutdown`] for an orderly stop (tests do).
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<AtomicU32>,
     waker: Arc<sys::Waker>,
     loop_thread: Option<std::thread::JoinHandle<()>>,
     state: Arc<ServerState>,
@@ -575,23 +532,32 @@ impl ServerHandle {
     /// Gracefully drains, then stops: stop accepting (new connections
     /// are shed with `503` + `Retry-After`), let in-flight connections
     /// finish — keep-alive loops close after their current response —
-    /// wait up to `bound`, hard-close the stragglers, and tear down the
-    /// pool. Returns `(drained, aborted)` connection counts.
+    /// and at `bound` from now close the stragglers (a drain already
+    /// begun by `POST /admin/drain` keeps its own instant). The event
+    /// loop stops once every connection is closed, and its pool is torn
+    /// down. Returns `(drained, aborted)` connection counts.
     // lint: request-root
-    pub fn drain(self, bound: Duration) -> (u64, u64) {
-        self.state.draining.store(true, Ordering::Relaxed);
-        let counts = drain_connections(&self.state, bound);
-        self.shutdown();
-        counts
+    pub fn drain(mut self, bound: Duration) -> (u64, u64) {
+        self.state.begin_drain(bound);
+        self.stop(STOP_AFTER_DRAIN);
+        let metrics = &self.state.metrics;
+        (
+            metrics.drained_connections.load(Ordering::Relaxed),
+            metrics.aborted_connections.load(Ordering::Relaxed),
+        )
     }
 
     /// Stops the event loop (which closes every connection and drains
     /// the worker pool) and joins it.
     pub fn shutdown(mut self) {
-        // ordering: publishes all pre-shutdown writes to the event
-        // loop's Acquire load of this flag.
-        self.shutdown.store(true, Ordering::Release);
-        // Interrupt `epoll_wait` so the flag is seen immediately.
+        self.stop(STOP_NOW);
+    }
+
+    fn stop(&mut self, request: u32) {
+        // ordering: publishes all writes before the request (a drain
+        // instant included) to the event loop's Acquire load of it.
+        self.stop.store(request, Ordering::Release);
+        // Interrupt `epoll_wait` so the request is seen immediately.
         self.waker.wake();
         if let Some(loop_thread) = self.loop_thread.take() {
             let _ = loop_thread.join();
@@ -625,38 +591,6 @@ impl<W: Write> Write for CountingStream<W> {
     }
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// Sheds one connection before it reaches the worker pool: `503` with a
-/// `Retry-After` hint (drain; queue overflow answers through the
-/// event loop's own reject path). Works on the nonblocking sockets
-/// `accept4` hands the event loop: the tiny 503 fits the socket buffer
-/// and the drain loop below breaks on `WouldBlock`.
-pub(crate) fn shed_connection(stream: &mut TcpStream, message: &str) {
-    let body = Json::obj().set("error", message).render();
-    let length = body.len().to_string();
-    let _ = http::write_response_head(
-        stream,
-        503,
-        http::CONTENT_TYPE_JSON,
-        false,
-        &[("content-length", &length), ("retry-after", "1")],
-    );
-    let _ = stream.write_all(body.as_bytes());
-    // The client almost certainly sent its request head already; closing
-    // with those bytes unread makes the kernel answer RST, which can
-    // discard the 503 before the client reads it. Drain what is already
-    // buffered — non-blockingly and bounded, this runs on the acceptor
-    // thread — so the close is a clean FIN and the 503 survives.
-    if stream.set_nonblocking(true).is_ok() {
-        let mut sink = [0u8; 4096];
-        for _ in 0..16 {
-            match stream.read(&mut sink) {
-                Ok(n) if n > 0 => continue,
-                _ => break,
-            }
-        }
     }
 }
 
@@ -713,29 +647,8 @@ fn classify_write_error(
     }
 }
 
-/// The drain proper: bounded wait for live connections to finish (the
-/// event loop sheds new ones and closes keep-alive connections after
-/// their in-flight response once `draining` is up), then hard-close the
-/// stragglers. Returns `(drained, aborted)`.
-// lint: request-root
-fn drain_connections(state: &ServerState, bound: Duration) -> (u64, u64) {
-    let give_up = Instant::now() + bound;
-    while state.connections.len() > 0 && Instant::now() < give_up {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let aborted = state.connections.close_all() as u64;
-    state
-        .metrics
-        .aborted_connections
-        .fetch_add(aborted, Ordering::Relaxed);
-    (
-        state.metrics.drained_connections.load(Ordering::Relaxed),
-        aborted,
-    )
-}
-
-/// Serves one parsed request on a worker thread: per-request watchdog
-/// deadline, dispatch through the cache tiers, the 504 override,
+/// Serves one parsed request on a worker thread: per-request deadline
+/// (fired by the event loop), dispatch through the cache tiers, the 504 override,
 /// metrics and access-log accounting, and the response written through
 /// the job's bounded hand-off buffer back to the event loop. The
 /// connection lifecycle (keep-alive, timeouts, drain awareness) lives
@@ -744,8 +657,10 @@ fn drain_connections(state: &ServerState, bound: Duration) -> (u64, u64) {
 // lint: request-root
 pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wait: Duration) {
     let request = &job.request;
-    let keep_alive = request.keep_alive() && !state.draining.load(Ordering::Relaxed);
-    let deadline = state.deadline_for(peek_route(request));
+    let keep_alive = request.keep_alive() && !state.is_draining();
+    let deadline = state
+        .deadline_budget(peek_route(request))
+        .map(|budget| job.start_deadline(budget));
     let started = Instant::now();
     let (route, status, body, meta) = dispatch_full(state, request, deadline.as_ref());
     // A request that outlived its deadline answers 504 even when the
@@ -987,7 +902,7 @@ fn peek_route(request: &Request) -> Route {
 /// meta)` — the body as a [`Json`] tree so the response writer can
 /// choose the fixed-length or streaming path (and HEAD can count
 /// without sending), plus the metadata the access log records.
-/// `deadline` is the request's armed watchdog deadline, if any; compute
+/// `deadline` is the request's running deadline, if any; compute
 /// handlers thread it into the cache tiers so expired requests stop
 /// waiting (and cancel abandoned flights).
 fn dispatch_full(
@@ -1083,29 +998,16 @@ fn handle_index() -> HandlerResult {
     ))
 }
 
-/// `POST /admin/drain?deadline_ms=` — triggers a graceful drain in the
-/// background and answers `202` immediately (a synchronous drain from a
-/// worker would deadlock waiting on its own connection). Idempotent: a
-/// second call while draining reports the state without spawning
-/// another drain thread.
-// lint: request-root
-fn handle_admin_drain(state: &Arc<ServerState>, request: &Request) -> HandlerResult {
+/// `POST /admin/drain?deadline_ms=` — begins a graceful drain and
+/// answers `202` immediately (waiting here would hold a worker on its
+/// own connection); the event loop sheds from its next turn and closes
+/// the stragglers at the drain instant. Idempotent: a second call
+/// reports the drain already under way and leaves its instant alone.
+fn handle_admin_drain(state: &ServerState, request: &Request) -> HandlerResult {
     let deadline_ms: u64 = request
         .query_or("deadline_ms", state.drain_deadline.as_millis() as u64)
         .map_err(|e| (400, e))?;
-    let bound = Duration::from_millis(deadline_ms);
-    let already = state.draining.swap(true, Ordering::Relaxed);
-    if !already {
-        let background = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("hyperline-drain".to_string())
-            .spawn(move || drain_connections(&background, bound));
-        if spawned.is_err() {
-            // The drain never started; clear the flag so a retry can.
-            state.draining.store(false, Ordering::Relaxed);
-            return Err((500, "failed to spawn drain thread".to_string()));
-        }
-    }
+    let already = !state.begin_drain(Duration::from_millis(deadline_ms));
     Ok((
         202,
         Json::obj()
@@ -2633,6 +2535,7 @@ mod tests {
             &m.write_stalls,
             &m.slow_loris_closes,
             &m.deadline_expired,
+            &m.deadlines_fired,
             &m.drained_connections,
             &m.aborted_connections,
             &m.event_loop_wakeups,
@@ -2655,12 +2558,6 @@ mod tests {
         }
         let _ = dispatch_text(state, &request("/datasets/paper/betweenness?s=2"));
         let _ = dispatch_text(state, &request("/datasets/paper/betweenness?s=2"));
-        let _deadline = state.watchdog.arm(Duration::from_millis(1));
-        let until = Instant::now() + Duration::from_secs(10);
-        while state.watchdog.expired_total() == 0 {
-            assert!(Instant::now() < until, "watchdog never fired");
-            std::thread::sleep(Duration::from_millis(1));
-        }
 
         // One readout renders both formats, so they see the same values.
         let readout = Readout::new(state);
@@ -2726,7 +2623,7 @@ mod tests {
                 }
             }
         }
-        for seeded in (101..=113).chain(201..=203) {
+        for seeded in (101..=114).chain(201..=203) {
             assert!(
                 exported.contains(&seeded),
                 "seeded {seeded} is not exported"

@@ -1,11 +1,11 @@
 //! The one `unsafe` corner of the workspace: raw Linux syscall
 //! bindings for the evented transport core (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `accept4`, `fcntl`, `pipe2`).
+//! `epoll_ctl`, `epoll_wait`, `listen`, `accept4`, `pipe2`).
 //!
 //! Everything outside this file is safe Rust. This module wraps each
 //! syscall in a narrow, owned-resource API — [`Epoll`], [`Waker`],
-//! [`accept_nonblocking`], [`set_nonblocking`] — so callers never touch
-//! a raw fd they do not own. The policy is enforced by hyperline-lint:
+//! [`listen_at_max_backlog`], [`accept_nonblocking`] — so callers
+//! never touch a raw fd they do not own. The policy is enforced by hyperline-lint:
 //! HL003 confines `unsafe` to this file, and HL010 requires every
 //! `unsafe` block to carry an adjacent `// safety:` justification.
 
@@ -21,8 +21,8 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn listen(sockfd: i32, backlog: i32) -> i32;
     fn accept4(sockfd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
     fn pipe2(pipefd: *mut i32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
@@ -40,12 +40,9 @@ pub(crate) const EPOLLHUP: u32 = 0x010;
 
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const SOCK_NONBLOCK: i32 = 0x800;
 const SOCK_CLOEXEC: i32 = 0x80000;
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
 const O_NONBLOCK: i32 = 0x800;
 const O_CLOEXEC: i32 = 0x80000;
 
@@ -71,7 +68,8 @@ impl EpollEvent {
 }
 
 /// An owned epoll instance. Dropping it closes the fd; registered fds
-/// are not touched (their owners close them).
+/// are not touched (their owners close them, which also removes them
+/// from the set).
 pub(crate) struct Epoll {
     fd: RawFd,
 }
@@ -94,8 +92,7 @@ impl Epoll {
             data: token,
         };
         // safety: `event` is a live stack value for the duration of the
-        // call and the kernel only reads it (DEL ignores it entirely);
-        // both fds are open — self.fd for self's lifetime, `fd` owned
+        // call and the kernel only reads it; both fds are open — self.fd for self's lifetime, `fd` owned
         // by the caller.
         let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut event) };
         if rc < 0 {
@@ -112,14 +109,6 @@ impl Epoll {
     /// Replaces `fd`'s interest mask.
     pub(crate) fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, events)
-    }
-
-    /// Deregisters `fd`. Must run before the last copy of the fd closes
-    /// when a duplicate of the open file description outlives it (the
-    /// drain tracker holds one), since the kernel only auto-removes an
-    /// entry once **every** fd of the description is gone.
-    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks for readiness, filling `events`; returns how many fired.
@@ -168,10 +157,25 @@ impl Drop for Epoll {
     }
 }
 
+/// Re-listens `listener` with the largest accept backlog the kernel
+/// allows. `TcpListener::bind` listens with a backlog of 128; once that
+/// many connections wait unaccepted the kernel drops the next SYN, and
+/// the client retries a second later. The kernel truncates a larger
+/// backlog to `net.core.somaxconn`, so `i32::MAX` asks for the maximum.
+pub(crate) fn listen_at_max_backlog(listener: &TcpListener) -> io::Result<()> {
+    // safety: listen takes no pointers; the listener fd is open for the
+    // duration of the call, and listening again only resizes the queue.
+    let rc = unsafe { listen(listener.as_raw_fd(), i32::MAX) };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 /// Accepts one pending connection without blocking: `Ok(None)` when the
 /// backlog is empty. The returned stream is already nonblocking and
 /// close-on-exec (`accept4` flags), so there is no racy post-accept
-/// `fcntl` window.
+/// window before the flags are set.
 pub(crate) fn accept_nonblocking(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
     // safety: null addr/addrlen asks the kernel not to report the peer
     // address (documented accept4 contract), so no out-pointers are
@@ -199,26 +203,6 @@ pub(crate) fn accept_nonblocking(listener: &TcpListener) -> io::Result<Option<Tc
         | io::ErrorKind::ConnectionAborted => Ok(None),
         _ => Err(err),
     }
-}
-
-/// Switches an fd to nonblocking mode via `fcntl` (used for the
-/// listener, which `TcpListener::bind` hands us in blocking mode).
-pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // safety: F_GETFL takes no pointer argument; the fd is owned by the
-    // caller and open for the duration of the call.
-    let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if flags & O_NONBLOCK != 0 {
-        return Ok(());
-    }
-    // safety: F_SETFL with an integer flag word — no pointers involved.
-    let rc = unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
 }
 
 /// A self-pipe that makes `epoll_wait` return on demand: worker threads
@@ -323,7 +307,7 @@ mod tests {
     #[test]
     fn accept_nonblocking_accepts_and_reports_empty_backlog() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        set_nonblocking(listener.as_raw_fd()).unwrap();
+        listener.set_nonblocking(true).unwrap();
         assert!(accept_nonblocking(&listener).unwrap().is_none());
         let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         // The handshake completes in the kernel; poll briefly for it.
@@ -345,6 +329,5 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(n, 1);
-        epoll.delete(accepted.as_raw_fd()).unwrap();
     }
 }

@@ -8,7 +8,9 @@
 //!   framing makes truncation client-visible, so every parsed `200`
 //!   here must dechunk cleanly (or match its `content-length`);
 //! * every injected fault lands in a telemetry counter;
-//! * a drain completes within its bound, and workers never leak.
+//! * a drain completes within its bound, and workers never leak;
+//! * a connection costs the server one fd, and a burst of connects
+//!   waits in the listen backlog, not on a SYN retransmit.
 //!
 //! The failpoint registry is process-global, so every test serializes
 //! on [`SERIAL`]; failpoint-driven tests are additionally
@@ -25,8 +27,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Failpoints and the cancel watchdog are process-global; chaos tests
-/// must not overlap. Poisoning is irrelevant for a test-only lock.
+/// Failpoints are process-global, and the fd test counts the whole
+/// process's fds; chaos tests must not overlap. Poisoning is irrelevant
+/// for a test-only lock.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -652,6 +655,160 @@ fn handle_drain_aborts_idle_stragglers_at_the_bound() {
             assert!(n <= buf.len());
         }
     }
+}
+
+#[test]
+fn deadline_fires_after_its_client_left() {
+    let _guard = serialize();
+    let handle = bind_star(
+        3000,
+        ServerConfig {
+            route_deadlines: vec![(Route::Slg, Duration::from_millis(50))],
+            ..base_config()
+        },
+    );
+    let addr = handle.addr();
+    let state = Arc::clone(handle.state());
+    let cancelled_before = state.cache.stats().cancelled;
+
+    // A quick request pipelined ahead of the slow one. The client closes
+    // as soon as a worker has taken the slow one, with the quick one's
+    // response unread, so the close is a reset the loop sees at once:
+    // the slow request's connection is gone while it computes. Its
+    // deadline must still fire and cancel the compute.
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "GET /healthz HTTP/1.1\r\nhost: chaos\r\n\r\n\
+         GET /datasets/star/slg?s=1 HTTP/1.1\r\nhost: chaos\r\n\r\n"
+    )
+    .unwrap();
+    assert!(
+        eventually(Duration::from_secs(5), || state.metrics.queue_wait.count()
+            == 2),
+        "the slow request never reached a worker"
+    );
+    drop(stream);
+
+    assert!(
+        eventually(Duration::from_millis(550), || {
+            state.cache.stats().cancelled > cancelled_before
+                && state.metrics.busy_workers.load(Ordering::Relaxed) == 0
+        }),
+        "compute not cancelled within 550 ms ({:?}, busy {})",
+        start.elapsed(),
+        state.metrics.busy_workers.load(Ordering::Relaxed)
+    );
+    assert_eq!(state.live_connections(), 0, "the reset left a connection");
+    assert_eq!(state.metrics.deadlines_fired.load(Ordering::Relaxed), 1);
+    handle.shutdown();
+}
+
+#[test]
+fn admin_drain_closes_an_idle_straggler_at_its_instant() {
+    let _guard = serialize();
+    let handle = bind_star(4, base_config());
+    let addr = handle.addr();
+    let state = Arc::clone(handle.state());
+
+    // An idle keep-alive connection that never closes by itself (its
+    // idle timeout is 5 s).
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write!(idle, "GET /healthz HTTP/1.1\r\nhost: chaos\r\n\r\n").unwrap();
+    let first = read_one_response(&mut idle);
+    assert!(first.starts_with("HTTP/1.1 200"), "{first}");
+
+    let start = Instant::now();
+    let (status, body) = post(addr, "/admin/drain?deadline_ms=200");
+    assert_eq!(status, 202, "{body}");
+    assert!(
+        eventually(Duration::from_millis(700), || state.live_connections() == 0),
+        "straggler still open {:?} after the drain began",
+        start.elapsed()
+    );
+    assert!(
+        start.elapsed() >= Duration::from_millis(200),
+        "the straggler was closed before the drain instant"
+    );
+    let m = &state.metrics;
+    assert_eq!(m.aborted_connections.load(Ordering::Relaxed), 1);
+    // The trigger's own connection closed after its response: drained.
+    assert_eq!(m.drained_connections.load(Ordering::Relaxed), 1);
+    let mut buf = [0u8; 64];
+    assert!(
+        matches!(idle.read(&mut buf), Ok(0) | Err(_)),
+        "the straggler's client did not see the close"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn parked_connections_cost_the_server_one_fd_each() {
+    let _guard = serialize();
+    let handle = bind_star(4, base_config());
+    let addr = handle.addr();
+    let state = Arc::clone(handle.state());
+    let open_fds = || {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("list /proc/self/fd")
+            .count()
+    };
+
+    // Each in-process connection has a client end and a server socket:
+    // two fds, plus slack for the harness.
+    let before = open_fds();
+    let parked: Vec<TcpStream> = (0..200)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    assert!(
+        eventually(Duration::from_secs(10), || state.live_connections() == 200),
+        "the loop registered {} of 200 connections",
+        state.live_connections()
+    );
+    let grown = open_fds() - before;
+    assert!(
+        grown <= 2 * 200 + 4,
+        "{grown} new fds for 200 parked connections"
+    );
+    drop(parked);
+    handle.shutdown();
+}
+
+#[test]
+fn connects_beyond_128_unaccepted_wait_in_the_backlog() {
+    let _guard = serialize();
+    let server = Server::bind(base_config()).expect("bind");
+    let addr = server.local_addr();
+    // The kernel caps the backlog at `net.core.somaxconn` (4096 by
+    // default since Linux 5.4); std's `bind` alone listens with 128.
+    let somaxconn: usize = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(4096);
+    let count = somaxconn.min(300);
+
+    // Nothing accepts before `spawn`, so every connect waits in the
+    // listen backlog; a full backlog drops the SYN and the client only
+    // retries a second later.
+    let waiting: Vec<TcpStream> = (0..count)
+        .map(|i| {
+            TcpStream::connect_timeout(&addr, Duration::from_millis(1500))
+                .unwrap_or_else(|e| panic!("connect {i} of {count}: {e}"))
+        })
+        .collect();
+    let handle = server.spawn();
+    let state = Arc::clone(handle.state());
+    assert!(
+        eventually(Duration::from_secs(10), || state.live_connections()
+            == count),
+        "the loop accepted {} of {count} waiting connections",
+        state.live_connections()
+    );
+    drop(waiting);
+    handle.shutdown();
 }
 
 #[test]

@@ -270,6 +270,28 @@ fn metrics_reflect_traffic_and_cache_state() {
 /// which `server_smoke --update-schema` rewrites. The set is fixed by the
 /// route list and the cache tiers, so an idle server with no datasets
 /// shows all of it.
+/// A `/metrics` scrape reads each cache tier's statistics without
+/// timing the tier's lock, so scraping an idle server never feeds the
+/// `lock_hold` histograms.
+#[test]
+fn metrics_scrapes_record_no_lock_hold() {
+    let (handle, _) = start_server("lesMis", 1);
+    let state = handle.state();
+    let holds = || {
+        [
+            state.cache.lock_hold_histogram(),
+            state.metric_cache.lock_hold_histogram(),
+        ]
+        .map(|h| h.count())
+    };
+    for target in ["/metrics", "/metrics?format=prometheus"] {
+        let (status, _) = get(handle.addr(), target);
+        assert_eq!(status, 200);
+        assert_eq!(holds(), [0, 0], "{target} recorded a lock hold");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_key_set_matches_the_checked_in_schema() {
     let server = Server::bind(ServerConfig {

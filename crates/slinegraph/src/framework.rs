@@ -99,9 +99,10 @@ pub fn run_pipeline(h: &Hypergraph, config: &PipelineConfig) -> PipelineRun {
     };
 
     // Coordinator-side cancellation points between stages: when the
-    // request's deadline has expired (flag set by the server watchdog),
-    // unwind to the single-flight cache's catch_unwind instead of
-    // starting the next stage. Flag checks only — no clocks (HL004).
+    // request's deadline has expired (flag set when the server's event
+    // loop fires it), unwind to the single-flight cache's catch_unwind
+    // instead of starting the next stage. Flag checks only — no clocks
+    // (HL004).
     hyperline_util::cancel::checkpoint();
 
     // Stage 1: preprocessing (relabel-by-degree).

@@ -1,22 +1,22 @@
 //! Request-lifecycle cancellation: deadline tokens, an ambient
-//! per-thread token, and the watchdog timer thread that arms deadlines.
+//! per-thread token, and the request deadlines that trip them.
 //!
 //! The server gives every request a bounded lifecycle:
 //!
 //! * [`CancelToken`] — a shared advisory flag polled by pipeline stages
 //!   and kernel chunk loops. The poll is a single `Relaxed` atomic load,
-//!   so kernels stay clock-free (lint rule HL004): all clocks live here
-//!   and in the watchdog, never in kernel crates. The token is
-//!   *single-flight aware*: it counts **interest** — the flight leader
-//!   plus every waiter holds one registration, and the token only trips
-//!   when every registrant has given up or expired. A leader with live
-//!   waiters keeps computing even after its own deadline passes.
-//! * [`Deadline`] — RAII handle for one request's deadline, armed on a
-//!   [`Watchdog`]. At expiry the watchdog marks the request expired and
-//!   releases the interest the request attached; dropping the handle
-//!   first (request finished) disarms the entry.
-//! * [`Watchdog`] — one timer thread per server, draining a binary heap
-//!   of pending expirations via `Condvar::wait_timeout`.
+//!   so kernels stay clock-free (lint rule HL004): the clock that fires
+//!   a deadline belongs to the server's event loop, never to kernel
+//!   crates. The token is *single-flight aware*: it counts **interest**
+//!   — the flight leader plus every waiter holds one registration, and
+//!   the token only trips when every registrant has given up or
+//!   expired. A leader with live waiters keeps computing even after its
+//!   own deadline passes.
+//! * [`Deadline`] — RAII handle for one request's deadline. The request
+//!   creates it and hands its [`DeadlineTimer`] to the timer owner (the
+//!   event loop's timer heap). At expiry the timer marks the request
+//!   expired and releases the interest the request attached; dropping
+//!   the handle first (request finished) makes the later fire a no-op.
 //! * [`checkpoint`] — the coordinator-side cancellation point: when the
 //!   ambient token has tripped it panics with the [`Cancelled`] payload,
 //!   which the single-flight cache's `catch_unwind` converts into the
@@ -27,13 +27,15 @@
 //! The ambient token is a thread-local set by [`with_token`];
 //! [`crate::parallel::scope_workers`] re-propagates it into spawned
 //! workers the same way it propagates the telemetry span context.
+//!
+//! Atomics and locks come from [`crate::sync`], so the sched model
+//! checker can explore a deadline firing while its request runs
+//! (`tests/sched_cancel.rs`).
 
-use crate::sync::Arc;
+use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::{Arc, Mutex};
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sentinel error string a cancelled flight resolves to. The server
 /// maps exactly this string to `504 Gateway Timeout` and the cache
@@ -58,7 +60,7 @@ struct TokenInner {
 ///
 /// Cloning shares the flag. Created with zero interest; each
 /// participant calls [`register_interest`](CancelToken::register_interest)
-/// and something (normally the watchdog at deadline expiry) later calls
+/// and something (normally a [`Deadline`] at expiry) later calls
 /// [`release_interest`](CancelToken::release_interest). The drop from
 /// one registration to zero trips the flag — so a token with a
 /// no-deadline participant never trips, and a flight leader is only
@@ -184,11 +186,11 @@ pub fn checkpoint() {
 }
 
 // ---------------------------------------------------------------------
-// Watchdog: the timer thread that arms per-request deadlines.
+// Deadlines: created by the request, fired by whoever keeps time.
 // ---------------------------------------------------------------------
 
-/// One registered interest, releasable exactly once — by the watchdog
-/// at expiry, by a timed-out waiter giving up, or on `Deadline` drop.
+/// One registered interest, releasable exactly once — by the deadline
+/// firing, by a timed-out waiter giving up, or on `Deadline` drop.
 struct InterestCell {
     token: CancelToken,
     released: AtomicBool,
@@ -203,12 +205,12 @@ impl InterestCell {
 }
 
 struct DeadlineState {
-    /// Wall-clock expiry instant (also serves `remaining()` queries).
+    /// Wall-clock expiry instant.
     at: Instant,
-    /// Set by the watchdog when the deadline fires.
+    /// Set when the deadline fires.
     expired: AtomicBool,
-    /// Set by `Deadline::drop` so a completed request's stale heap
-    /// entry is skipped instead of fired.
+    /// Set by `Deadline::drop`, so a finished request's timer fires as a
+    /// no-op.
     disarmed: AtomicBool,
     /// The flight interests this request holds (one per flight it
     /// joined — e.g. metric tier and artifact tier), released at expiry.
@@ -216,11 +218,7 @@ struct DeadlineState {
 }
 
 impl DeadlineState {
-    fn fire(&self) {
-        if self.disarmed.load(Ordering::Relaxed) {
-            return;
-        }
-        self.expired.store(true, Ordering::Relaxed);
+    fn release_attached(&self) {
         let cells = std::mem::take(&mut *self.attached.lock().unwrap_or_else(|p| p.into_inner()));
         for cell in cells {
             cell.release();
@@ -228,22 +226,40 @@ impl DeadlineState {
     }
 }
 
-/// RAII handle for one armed deadline. Dropping it disarms the watchdog
-/// entry and releases any still-attached flight interest (idempotent —
-/// harmless after the flight completed).
+/// RAII handle for one request's deadline. It expires when its
+/// [`DeadlineTimer`] fires; dropping the handle first (request finished)
+/// turns that fire into a no-op and releases any still-attached flight
+/// interest (idempotent — harmless after the flight completed).
 pub struct Deadline {
     state: Arc<DeadlineState>,
 }
 
 impl Deadline {
-    /// True once the watchdog fired this deadline.
-    pub fn expired(&self) -> bool {
-        self.state.expired.load(Ordering::Relaxed)
+    /// A deadline expiring at `at`. Nothing keeps time for it: hand
+    /// [`Deadline::timer`] to a timer owner (the server's event loop),
+    /// which fires it at `at`.
+    pub fn new(at: Instant) -> Self {
+        install_quiet_cancel_hook();
+        Self {
+            state: Arc::new(DeadlineState {
+                at,
+                expired: AtomicBool::new(false),
+                disarmed: AtomicBool::new(false),
+                attached: Mutex::new(Vec::new()),
+            }),
+        }
     }
 
-    /// Time left before expiry (zero once passed).
-    pub fn remaining(&self) -> Duration {
-        self.state.at.saturating_duration_since(Instant::now())
+    /// The firing side of this deadline, for the timer owner.
+    pub fn timer(&self) -> DeadlineTimer {
+        DeadlineTimer {
+            state: Arc::clone(&self.state),
+        }
+    }
+
+    /// True once the deadline fired.
+    pub fn expired(&self) -> bool {
+        self.state.expired.load(Ordering::Relaxed)
     }
 
     /// The absolute expiry instant.
@@ -251,12 +267,12 @@ impl Deadline {
         self.state.at
     }
 
-    /// Registers this request's interest in `token` and arranges for
-    /// the watchdog to release it at expiry. The returned guard
-    /// releases the same interest when dropped (whichever happens first
-    /// wins; the release is idempotent), so a request that completes —
-    /// or a waiter that gives up — frees its hold on the flight without
-    /// waiting for the watchdog sweep.
+    /// Registers this request's interest in `token` and arranges for the
+    /// deadline to release it at expiry. The returned guard releases the
+    /// same interest when dropped (whichever happens first wins; the
+    /// release is idempotent), so a request that completes — or a
+    /// waiter that gives up — frees its hold on the flight without
+    /// waiting for the deadline.
     pub fn attach(&self, token: &CancelToken) -> InterestGuard {
         token.register_interest();
         let cell = Arc::new(InterestCell {
@@ -268,48 +284,51 @@ impl Deadline {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(Arc::clone(&cell));
-        // If the deadline fired between arming and this attach, the
-        // watchdog will not revisit the entry: release immediately.
+        // A deadline that already fired will not revisit its attachments:
+        // release immediately.
         if self.expired() {
             cell.release();
         }
         InterestGuard { cell }
-    }
-
-    /// Explicitly gives up: marks the request expired and releases the
-    /// attached interest now instead of waiting for the watchdog sweep.
-    pub fn give_up(&self) {
-        self.state.fire();
     }
 }
 
 impl Drop for Deadline {
     fn drop(&mut self) {
         self.state.disarmed.store(true, Ordering::Relaxed);
-        let cells = std::mem::take(
-            &mut *self
-                .state
-                .attached
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()),
-        );
-        for cell in cells {
-            cell.release();
+        self.state.release_attached();
+    }
+}
+
+/// The firing side of a [`Deadline`], held by whoever keeps time.
+pub struct DeadlineTimer {
+    state: Arc<DeadlineState>,
+}
+
+impl DeadlineTimer {
+    /// When to fire.
+    pub fn at(&self) -> Instant {
+        self.state.at
+    }
+
+    /// Expires the deadline: marks its request expired and releases the
+    /// interests it attached. Returns whether that expired a running
+    /// request — `false` once the [`Deadline`] was dropped, and on any
+    /// fire after the first.
+    pub fn fire(&self) -> bool {
+        let state = &self.state;
+        if state.disarmed.load(Ordering::Relaxed) || state.expired.swap(true, Ordering::Relaxed) {
+            return false;
         }
+        state.release_attached();
+        true
     }
 }
 
 /// RAII handle for one [`Deadline::attach`] registration: dropping it
-/// releases the interest if the watchdog has not already done so.
+/// releases the interest if the deadline has not already done so.
 pub struct InterestGuard {
     cell: Arc<InterestCell>,
-}
-
-impl InterestGuard {
-    /// Releases the interest now (idempotent with expiry and drop).
-    pub fn release(&self) {
-        self.cell.release();
-    }
 }
 
 impl Drop for InterestGuard {
@@ -318,51 +337,12 @@ impl Drop for InterestGuard {
     }
 }
 
-/// Heap entry ordered soonest-first (BinaryHeap is a max-heap, so the
-/// ordering is reversed).
-struct Armed {
-    at: Instant,
-    state: Arc<DeadlineState>,
-}
-
-impl PartialEq for Armed {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-impl Eq for Armed {}
-impl PartialOrd for Armed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Armed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at)
-    }
-}
-
-struct WatchdogInner {
-    queue: Mutex<BinaryHeap<Armed>>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    expired_total: AtomicU64,
-}
-
-/// The per-server timer thread arming request deadlines. One thread
-/// serves every request: arming pushes onto a shared heap and wakes it;
-/// the thread sleeps until the earliest pending expiry.
-pub struct Watchdog {
-    inner: Arc<WatchdogInner>,
-    handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
 /// Silences the default panic hook for [`Cancelled`] unwinds: deadline
 /// cancellation is control flow caught by the single-flight engine, not
 /// a crash, and must not print a thread-panic backtrace on every
 /// expiry. Every other panic payload still reaches the previously
 /// installed hook. Installed once per process, the first time a
-/// [`Watchdog`] is created (i.e. before any deadline can exist).
+/// [`Deadline`] is created (i.e. before any deadline can fire).
 fn install_quiet_cancel_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -373,120 +353,6 @@ fn install_quiet_cancel_hook() {
             }
         }));
     });
-}
-
-impl Watchdog {
-    /// Spawns the watchdog thread.
-    pub fn new() -> Self {
-        install_quiet_cancel_hook();
-        let inner = Arc::new(WatchdogInner {
-            queue: Mutex::new(BinaryHeap::new()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            expired_total: AtomicU64::new(0),
-        });
-        let run = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("hyperline-watchdog".to_string())
-            .spawn(move || Self::run(&run))
-            .ok();
-        Self {
-            inner,
-            handle: Mutex::new(handle),
-        }
-    }
-
-    fn run(inner: &WatchdogInner) {
-        let mut queue = inner.queue.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if inner.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let now = Instant::now();
-            // Collect due entries, then fire them outside the queue
-            // lock (fire takes the per-deadline attachment lock).
-            let mut due = Vec::new();
-            while queue.peek().is_some_and(|top| top.at <= now) {
-                if let Some(armed) = queue.pop() {
-                    due.push(armed.state);
-                }
-            }
-            if !due.is_empty() {
-                drop(queue);
-                for state in due {
-                    if !state.disarmed.load(Ordering::Relaxed) {
-                        inner.expired_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    state.fire();
-                }
-                queue = inner.queue.lock().unwrap_or_else(|p| p.into_inner());
-                continue;
-            }
-            match queue
-                .peek()
-                .map(|top| top.at.saturating_duration_since(now))
-            {
-                None => {
-                    queue = inner.wake.wait(queue).unwrap_or_else(|p| p.into_inner());
-                }
-                Some(sleep) => {
-                    let (g, _) = inner
-                        .wake
-                        .wait_timeout(queue, sleep)
-                        .unwrap_or_else(|p| p.into_inner());
-                    queue = g;
-                }
-            }
-        }
-    }
-
-    /// Arms a deadline `after` from now and returns its RAII handle.
-    pub fn arm(&self, after: Duration) -> Deadline {
-        let state = Arc::new(DeadlineState {
-            at: Instant::now() + after,
-            expired: AtomicBool::new(false),
-            disarmed: AtomicBool::new(false),
-            attached: Mutex::new(Vec::new()),
-        });
-        {
-            let mut queue = self.inner.queue.lock().unwrap_or_else(|p| p.into_inner());
-            queue.push(Armed {
-                at: state.at,
-                state: Arc::clone(&state),
-            });
-        }
-        self.inner.wake.notify_one();
-        Deadline { state }
-    }
-
-    /// Deadlines that fired while still armed, over the watchdog's
-    /// lifetime.
-    pub fn expired_total(&self) -> u64 {
-        self.inner.expired_total.load(Ordering::Relaxed)
-    }
-
-    /// Stops and joins the timer thread. Outstanding `Deadline` handles
-    /// stay valid but will no longer fire.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.inner.wake.notify_all();
-        let handle = self.handle.lock().unwrap_or_else(|p| p.into_inner()).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -533,48 +399,39 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_fires_and_releases_interest() {
-        let wd = Watchdog::new();
+    fn timer_fire_expires_and_releases_interest() {
         let token = CancelToken::new();
-        let dl = wd.arm(Duration::from_millis(20));
+        let dl = Deadline::new(Instant::now());
         let _keep = dl.attach(&token);
         assert!(!dl.expired());
         assert!(!token.is_cancelled());
-        let start = Instant::now();
-        while !dl.expired() && start.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(dl.expired(), "watchdog must fire within the bound");
+        assert!(dl.timer().fire(), "fired while the request runs: an expiry");
+        assert!(dl.expired());
         assert!(token.is_cancelled(), "sole registrant expired -> tripped");
-        assert_eq!(wd.expired_total(), 1);
-        wd.shutdown();
+        assert!(!dl.timer().fire(), "a second fire is not another expiry");
+        assert_eq!(token.interest(), 0, "released exactly once");
     }
 
     #[test]
-    fn dropped_deadline_is_disarmed() {
-        let wd = Watchdog::new();
+    fn dropped_deadline_fires_as_a_no_op() {
         let token = CancelToken::new();
-        {
-            let dl = wd.arm(Duration::from_millis(30));
-            let _keep = dl.attach(&token);
-        } // dropped before expiry: disarms + releases its interest
+        let dl = Deadline::new(Instant::now());
+        let timer = dl.timer();
+        let keep = dl.attach(&token);
+        drop(dl); // request finished: releases its interest
         assert!(token.is_cancelled(), "drop released the only registration");
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(wd.expired_total(), 0, "disarmed entry must not count");
-        wd.shutdown();
+        assert!(!timer.fire(), "a dropped deadline must not count");
+        drop(keep);
+        assert_eq!(token.interest(), 0, "released exactly once");
     }
 
     #[test]
     fn leader_survives_while_other_interest_lives() {
-        let wd = Watchdog::new();
         let token = CancelToken::new();
         token.register_interest(); // a waiter with no deadline
-        let dl = wd.arm(Duration::from_millis(10));
+        let dl = Deadline::new(Instant::now());
         let _keep = dl.attach(&token);
-        let start = Instant::now();
-        while !dl.expired() && start.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert!(dl.timer().fire());
         assert!(dl.expired());
         assert!(
             !token.is_cancelled(),
@@ -582,23 +439,21 @@ mod tests {
         );
         token.release_interest();
         assert!(token.is_cancelled());
-        wd.shutdown();
     }
 
     #[test]
-    fn give_up_is_idempotent_with_watchdog() {
-        let wd = Watchdog::new();
+    fn attach_after_expiry_releases_at_once() {
         let token = CancelToken::new();
         token.register_interest(); // second registrant
-        let dl = wd.arm(Duration::from_millis(10));
-        let _keep = dl.attach(&token);
-        dl.give_up();
-        std::thread::sleep(Duration::from_millis(40));
+        let dl = Deadline::new(Instant::now());
+        assert!(dl.timer().fire());
+        let keep = dl.attach(&token);
+        assert_eq!(token.interest(), 1, "an expired deadline holds nothing");
+        drop(keep);
         assert_eq!(
             token.interest(),
             1,
-            "give_up + watchdog release exactly once"
+            "guard drop after expiry releases nothing"
         );
-        wd.shutdown();
     }
 }

@@ -21,7 +21,7 @@
 //! * [`sync`] — the sync seam: re-exports `std::sync` primitives
 //!   normally, or the `hyperline-sched` model-checker shims under
 //!   `--cfg hyperline_sched`.
-//! * [`cancel`] — request-lifecycle cancellation: deadline watchdog,
+//! * [`cancel`] — request-lifecycle cancellation: request deadlines,
 //!   interest-counted cancel tokens, and the ambient per-thread token
 //!   kernel chunk loops poll (flag-only, so kernels stay clock-free).
 //! * [`failpoint`] — deterministic fault injection at I/O seams,

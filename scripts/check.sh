@@ -66,7 +66,7 @@ echo "==> sched suite (exhaustive interleavings under --cfg hyperline_sched)"
 # checker shims and must never be reused by std-world builds.
 RUSTFLAGS="--cfg hyperline_sched" CARGO_TARGET_DIR=target/sched \
   cargo test -q -p hyperline-sched --test engine \
-    -p hyperline-util --test sched_histogram \
+    -p hyperline-util --test sched_histogram --test sched_cancel \
     -p hyperline-graph --test sched_frontier \
     -p hyperline-server --test sched_models
 
