@@ -1,9 +1,10 @@
 //! Figure 4: number of edges in the s-clique graph vs s (log-log decay).
 //!
-//! Computes the s-clique graphs (s-line graphs of the dual) of the
-//! disGeNet, condMat, compBoard and lesMis profiles with one ensemble
-//! pass each, and prints the edge count per s. The paper's observation:
-//! density drops off roughly exponentially in s across domains.
+//! Counts the edges of the s-clique graphs (s-line graphs of the dual)
+//! of the disGeNet, condMat, compBoard and lesMis profiles with one
+//! overlap-counting pass each, and prints the edge count per s. The
+//! paper's observation: density drops off roughly exponentially in s
+//! across domains.
 //!
 //! `cargo run -p hyperline-bench --release --bin fig4_density`
 //! Options: `--seed=42 --max-s=128`

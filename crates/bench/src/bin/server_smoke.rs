@@ -478,8 +478,8 @@ fn main() {
     let handle = server.spawn();
     let addr = handle.addr();
 
-    // `/slg` first: the sweep below would otherwise pre-populate its
-    // artifact and hide the artifact-tier's cold cost.
+    // `/slg` first: after the sweep below, its L2 would be derived from
+    // the sweep's resident L1, hiding the count a cold artifact pays.
     let (slg_cold, slg_warm) = measure(addr, &format!("/datasets/{name}/slg?s=2&limit=16"), reps);
     let (sweep_cold, sweep_warm) = measure(addr, &format!("/datasets/{name}/sweep?max_s=8"), reps);
     let (bc_cold, bc_warm) = measure(addr, &format!("/datasets/{name}/betweenness?s=2"), reps);

@@ -31,6 +31,8 @@
 //! * **Generation-fenced invalidation** — replacing a dataset bumps its
 //!   generation; computations started against the old data may still be
 //!   served to the callers that asked for them but are never cached.
+//!   A tier is written only where its flights complete, so the fence
+//!   is checked in that one place.
 //! * **Deadline-aware flights** — every flight carries an
 //!   interest-counted [`CancelToken`]; requests attach their deadline to
 //!   it, waiters give up (504) when their deadline passes, and the
@@ -533,21 +535,19 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
                 {
                     inner.clock += 1;
                     let now = inner.clock;
-                    // The key can already be resident: a sweep's
-                    // `insert_if_current` may land the same artifact
-                    // while this flight computes (flights are invisible
-                    // to `lookup`). Account the replaced entry's bytes
-                    // or `used_bytes` inflates permanently.
-                    if let Some(previous) = inner.map.insert(
+                    // The key is absent: the flight started on a miss,
+                    // and a same-generation flight is the key's only
+                    // writer (the in-flight marker keeps out another
+                    // until an invalidation, which makes this one stale).
+                    let previous = inner.map.insert(
                         key.clone(),
                         Entry {
                             value: Arc::clone(&value),
                             bytes,
                             last_used: now,
                         },
-                    ) {
-                        inner.used_bytes -= previous.bytes;
-                    }
+                    );
+                    debug_assert!(previous.is_none(), "a flight's key was already resident");
                     inner.used_bytes += bytes;
                     self.evict_lru(&mut inner, key);
                 }
@@ -577,7 +577,8 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
     /// Looks `key` up without computing anything. Touches the LRU clock
     /// and counts a hit when found; an absent key counts nothing (the
     /// `misses` stat means "computed", and a probe computes nothing).
-    /// The sweep fast path probes per-s artifacts this way.
+    /// It never fills the cache: only a flight's own completion writes
+    /// an entry.
     pub fn lookup(&self, key: &K) -> Option<Arc<V>> {
         let mut inner = self.lock();
         inner.clock += 1;
@@ -586,44 +587,6 @@ impl<K: TierKey, V> SingleFlightCache<K, V> {
         entry.last_used = now;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(&entry.value))
-    }
-
-    /// The current invalidation generation of `dataset`. Record it
-    /// *before* reading the dataset, then pass it to
-    /// [`SingleFlightCache::insert_if_current`]: the pair fences direct
-    /// inserts against a concurrent dataset replacement the same way
-    /// `get_or_compute` fences its flights.
-    pub fn generation(&self, dataset: &str) -> u64 {
-        self.lock().generation(dataset)
-    }
-
-    /// Inserts a value computed outside a flight (the sweep path derives
-    /// many artifacts from one), but only when the dataset's
-    /// generation still equals `generation` — a replacement racing the
-    /// computation must not pin stale entries. Counts as a miss when
-    /// inserted (a computation happened); returns whether it entered the
-    /// map.
-    pub fn insert_if_current(&self, key: K, generation: u64, value: V, bytes: usize) -> bool {
-        let mut inner = self.lock();
-        if inner.generation(key.dataset()) != generation {
-            return false;
-        }
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(previous) = inner.map.insert(
-            key.clone(),
-            Entry {
-                value: Arc::new(value),
-                bytes,
-                last_used: now,
-            },
-        ) {
-            inner.used_bytes -= previous.bytes;
-        }
-        inner.used_bytes += bytes;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.evict_lru(&mut inner, &key);
-        true
     }
 
     /// Evicts least-recently-used entries (never `keep`) until within
@@ -1000,46 +963,6 @@ mod tests {
         cache.get_or_compute(&key("a", 7), || Ok((7, 40))).unwrap();
         assert!(cache.lookup(&key("a", 2)).is_some(), "probed source kept");
         assert!(cache.lookup(&key("a", 5)).is_none(), "LRU entry evicted");
-    }
-
-    #[test]
-    fn insert_if_current_respects_generation_fence() {
-        let cache: ArtifactCache<u32> = ArtifactCache::new(1000);
-        let generation = cache.generation("a");
-        // Replacement lands between the generation read and the insert:
-        // the insert must be dropped.
-        cache.invalidate_dataset("a");
-        assert!(!cache.insert_if_current(key("a", 1), generation, 7, 10));
-        assert!(cache.lookup(&key("a", 1)).is_none(), "stale insert pinned");
-        // Under the current generation the insert lands and serves.
-        let generation = cache.generation("a");
-        assert!(cache.insert_if_current(key("a", 1), generation, 8, 10));
-        assert_eq!(*cache.lookup(&key("a", 1)).unwrap(), 8);
-        // Re-inserting the same key replaces the entry without leaking
-        // accounted bytes.
-        assert!(cache.insert_if_current(key("a", 1), generation, 9, 30));
-        assert_eq!(cache.stats().used_bytes, 30);
-        assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn flight_insert_over_resident_entry_accounts_bytes_once() {
-        // A sweep's insert_if_current can land an entry while a flight
-        // for the same key is still computing; when the flight lands its
-        // own copy, the replaced entry's bytes must be released.
-        let cache: ArtifactCache<u32> = ArtifactCache::new(1000);
-        let generation = cache.generation("a");
-        cache
-            .get_or_compute(&key("a", 1), || {
-                // Simulates the concurrent direct insert mid-flight.
-                assert!(cache.insert_if_current(key("a", 1), generation, 7, 40));
-                Ok((8, 40))
-            })
-            .unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.used_bytes, 40, "replaced entry's bytes leaked");
-        assert_eq!(*cache.lookup(&key("a", 1)).unwrap(), 8, "flight value wins");
     }
 
     #[test]

@@ -623,6 +623,8 @@ impl Write for CountingWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// The request of a complete head (its body, if any, not attached).
     fn parse(text: &str) -> Result<Request, ParseError> {
@@ -912,6 +914,104 @@ mod tests {
             parse_head(oversized.as_bytes()),
             Err(ParseError::Rejected { status: 400, .. })
         ));
+    }
+
+    /// A request of one of the shapes the event loop meets, varied by
+    /// `pick`: 0 valid, 1 pipelined, 2 with a body, 3 malformed, 4
+    /// refused (417, 501, oversized body), 5 head over budget.
+    fn sample_head(shape: usize, pick: usize) -> Vec<u8> {
+        let eol = if pick.is_multiple_of(2) { "\r\n" } else { "\n" };
+        let head = |lines: &[&str]| -> Vec<u8> {
+            let mut out: String = lines.iter().map(|l| format!("{l}{eol}")).collect();
+            out.push_str(eol);
+            out.into_bytes()
+        };
+        let target = format!("GET /d{pick}/slg?s={}&limit=5 HTTP/1.1", pick % 9 + 1);
+        let get = head(&[&target, &format!("host: h{pick}")]);
+        match shape {
+            0 => get,
+            1 => [get.clone(), get].concat(),
+            2 => {
+                let body = "b".repeat(pick % 7);
+                let version = if pick.is_multiple_of(3) { "1.0" } else { "1.1" };
+                let expect = ["expect: 100-continue", "x-pick: 1"][pick / 2 % 2];
+                let length = format!("content-length: {}", body.len());
+                let request = format!("POST /query HTTP/{version}");
+                [head(&[&request, expect, &length]), body.into_bytes()].concat()
+            }
+            3 => match pick % 7 {
+                0 => head(&["NOT-HTTP"]),
+                1 => head(&["GET / SPDY/9"]),
+                2 => head(&["GET / HTTP/1.1", "no-colon-here"]),
+                3 => head(&["GET /%zz HTTP/1.1"]),
+                4 => head(&["POST / HTTP/1.1", "content-length: 2", "content-length: 3"]),
+                5 => head(&["GET / HTTP/1.1", "content-length: wat"]),
+                _ => b"GET / HTTP/1.1\r\nx: \xff\r\n\r\n".to_vec(),
+            },
+            4 => match pick % 3 {
+                0 => head(&["POST / HTTP/1.1", "expect: teleport", "content-length: 2"]),
+                1 => head(&["POST / HTTP/1.1", "transfer-encoding: chunked"]),
+                _ => head(&[
+                    "POST / HTTP/1.1",
+                    &format!("content-length: {}", MAX_BODY_BYTES + 1),
+                ]),
+            },
+            _ => match pick % 3 {
+                0 => head(&[
+                    "GET / HTTP/1.1",
+                    &format!("x: {}", "a".repeat(MAX_HEAD_BYTES)),
+                ]),
+                1 => {
+                    // Each line fits the budget; together they overflow it.
+                    let many: Vec<String> = (0..MAX_HEAD_BYTES / 8)
+                        .map(|i| format!("x{i}: 0123"))
+                        .collect();
+                    head(&["GET / HTTP/1.1", &many.join(eol)])
+                }
+                _ => vec![b'a'; MAX_HEAD_BYTES + pick],
+            },
+        }
+    }
+
+    /// A `parse_head` outcome, rendered for comparison.
+    fn verdict(parsed: Result<Option<(ParsedHead, usize)>, ParseError>) -> String {
+        match parsed {
+            Ok(Some((head, consumed))) => format!(
+                "{:?} body {} continue {} consumed {consumed}",
+                head.request, head.body_len, head.expect_continue
+            ),
+            Ok(None) => "incomplete".to_string(),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The event loop re-parses its inbound buffer as bytes arrive:
+        /// however they are split, the first verdict that is not "need
+        /// more" is the one the whole buffer gives at once.
+        #[test]
+        fn parse_head_drip_fed_matches_the_whole_buffer(
+            shape in 0usize..6,
+            pick in 0usize..64,
+            steps in vec((0u32..12).prop_flat_map(|b| 1usize..=1 << b), 1..24),
+        ) {
+            let raw = sample_head(shape, pick);
+            let whole = verdict(parse_head(&raw));
+            let class = ["Request", "Request", "Request", "Malformed", "Rejected", "Malformed"];
+            prop_assert!(whole.starts_with(class[shape]), "shape {}: {}", shape, whole);
+            let mut end = 0;
+            let mut steps = steps.iter().cycle();
+            let dripped = loop {
+                end = (end + steps.next().expect("steps cycle")).min(raw.len());
+                match parse_head(&raw[..end]) {
+                    Ok(None) if end < raw.len() => {}
+                    parsed => break verdict(parsed),
+                }
+            };
+            prop_assert_eq!(dripped, whole, "shape {} pick {} cut at {}", shape, pick, end);
+        }
     }
 
     #[test]

@@ -38,11 +38,10 @@
 //!   requests to a fixed worker pool over a bounded queue; workers speak
 //!   HTTP/1.1 keep-alive (HEAD, `Expect: 100-continue` and desync-safe
 //!   error handling included) into a bounded hand-off buffer the loop
-//!   drains under `EPOLLOUT`. `GET /datasets/{d}/sweep` reuses and
-//!   populates per-s artifacts, counting at most once (at its smallest
-//!   missing `s`) and filtering the rest, and `POST /query` answers a
-//!   JSON batch of sub-queries in one round-trip under one compute
-//!   budget. Large bodies (edge lists, sweeps, components) **stream**
+//!   drains under `EPOLLOUT`. `GET /datasets/{d}/sweep` reads every
+//!   `|E(L_s)|` off the overlaps of one resident `L₁`, and `POST /query`
+//!   answers a JSON batch of sub-queries in one round-trip under one
+//!   compute budget. Large bodies (edge lists, sweeps, components) **stream**
 //!   from the cached `Arc` artifacts through a chunked (and, when
 //!   negotiated, gzip) writer stack with O(1) buffering;
 //! * [`http`] / [`json`] — the wire-format helpers: percent-decoding

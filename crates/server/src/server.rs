@@ -22,7 +22,8 @@
 //! from the cached Algorithm-2 artifact with the largest `s0 ≤ s`, and
 //! the wedge-counting kernel runs only when no such artifact exists.
 //! The same counts render `weighted=1` rows, so plain and weighted
-//! `/slg` share one artifact.
+//! `/slg` share one artifact, and `/sweep` reads every `|E(L_s)|` off
+//! `L₁`'s.
 
 use crate::access_log::{AccessLog, AccessRecord, RequestIds};
 use crate::cache::{
@@ -39,12 +40,11 @@ use crate::sync::{Arc, Mutex};
 use crate::sys;
 use hyperline_hypergraph::Hypergraph;
 use hyperline_slinegraph::{
-    algo1_slinegraph, algo2_slinegraph_weighted, naive_slinegraph, spgemm_slinegraph, SLineGraph,
-    Strategy,
+    algo1_slinegraph, algo2_slinegraph_weighted, edge_counts_from_overlaps, naive_slinegraph,
+    spgemm_slinegraph, SLineGraph, Strategy,
 };
 use hyperline_util::cancel::{self, Deadline};
 use hyperline_util::failpoint;
-use hyperline_util::parallel::{par_map_slice, with_threads};
 use hyperline_util::telemetry::{self, Span, StageAgg};
 use hyperline_util::FxHashMap;
 use std::io::Write;
@@ -1194,9 +1194,8 @@ fn cache_err(message: String) -> (u16, String) {
 ///
 /// Call sites are structured so these sections never nest (a metric
 /// flight resolves its artifact *before* entering its own budget
-/// section, as a sweep does before its derive section; a batch wraps
-/// nothing itself) — nesting would register one request twice and
-/// halve its own budget, so keep it that way.
+/// section; a batch wraps nothing itself) — nesting would register one
+/// request twice and halve its own budget, so keep it that way.
 fn with_compute_budget<T>(state: &ServerState, f: impl FnOnce() -> T) -> T {
     struct ActiveGuard<'a>(&'a std::sync::atomic::AtomicUsize);
     impl Drop for ActiveGuard<'_> {
@@ -1322,14 +1321,11 @@ fn derive_from_cache(state: &ServerState, key: &CacheKey) -> Option<Artifact> {
     }))
 }
 
-/// `GET /datasets/{d}/sweep?max_s=` — answered from the metric tier,
-/// which in turn reuses (and populates) the artifact tier's per-s
-/// entries: only the s values with no cached artifact are built. The
-/// smallest of them resolves through the artifact tier (derived from a
-/// lower cached `s0`, or counted once), every other one is filtered from
-/// it, and each freshly built `L_s(H)` is inserted into the artifact
-/// tier so later `/slg?s=` (and metric) queries for any swept `s` start
-/// warm.
+/// `GET /datasets/{d}/sweep?max_s=` — `|E(L_s)|` for `s = 1..=max_s`,
+/// answered from the metric tier. Its flight resolves `L₁` through the
+/// artifact tier (counted once, then resident) and counts the overlaps
+/// reaching each `s` in one pass over `L₁`'s: every `L_s` edge is an
+/// `L₁` edge whose overlap is at least `s`. No other `L_s` is built.
 fn handle_sweep(
     state: &ServerState,
     params: &Params<'_>,
@@ -1348,10 +1344,21 @@ fn handle_sweep(
     let (result, outcome) = state
         .metric_cache
         .get_or_compute_cancellable(&metric_key, deadline, || {
-            let (result, report) =
-                telemetry::collect(|| compute_sweep(state, name, max_s, deadline));
-            state.record_pipeline(name, &report);
-            result
+            // Resolved inside the metric flight for the same fencing as
+            // the Stage-5 metrics (see `handle_cached_op`).
+            let (l1, _) = get_artifact(state, &artifact_key(name, 1, AlgoKind::Algo2), deadline)
+                .map_err(|(_, message)| message)?;
+            let overlaps = l1
+                .overlaps
+                .as_deref()
+                .ok_or_else(|| "Algorithm-2 artifact carries no overlaps".to_string())?;
+            let s_values: Vec<u32> = (1..=max_s).collect();
+            let result = MetricResult::Sweep(edge_counts_from_overlaps(
+                overlaps.iter().copied(),
+                &s_values,
+            ));
+            let bytes = result.approx_bytes();
+            Ok((result, bytes))
         })
         .map_err(cache_err)?;
     meta.cache = Some(outcome_name(outcome));
@@ -1381,69 +1388,6 @@ fn artifact_key(name: &str, s: u32, algorithm: AlgoKind) -> CacheKey {
 /// valid query, so it cannot collide with a real artifact key).
 fn sweep_pseudo_key(name: &str) -> CacheKey {
     artifact_key(name, 0, AlgoKind::Algo2)
-}
-
-/// Computes the sweep counts for the metric tier: probe the artifact
-/// tier per `s`, resolve the smallest missing `s` through the artifact
-/// tier (its own flight caches it), filter every other missing `s` from
-/// that artifact in parallel, and insert those behind a generation fence
-/// so a dataset replacement racing the sweep can never pin stale per-s
-/// entries.
-fn compute_sweep(
-    state: &ServerState,
-    name: &str,
-    max_s: u32,
-    deadline: Option<&Deadline>,
-) -> Result<(MetricResult, usize), String> {
-    // Generation before any artifact is read: if a replacement lands
-    // later, the recorded generation is already stale and every insert
-    // below is dropped (fresh data is simply recomputed later — the
-    // conservative direction).
-    let generation = state.cache.generation(name);
-    let mut counts: Vec<(u32, usize)> = Vec::with_capacity(max_s as usize);
-    let mut missing: Vec<u32> = Vec::new();
-    for s in 1..=max_s {
-        match state.cache.lookup(&artifact_key(name, s, AlgoKind::Algo2)) {
-            Some(artifact) => counts.push((s, artifact.slg.num_edges())),
-            None => {
-                counts.push((s, usize::MAX)); // patched below
-                missing.push(s);
-            }
-        }
-    }
-    if let Some((&s_min, rest)) = missing.split_first() {
-        let (base, _) = get_artifact(state, &artifact_key(name, s_min, AlgoKind::Algo2), deadline)
-            .map_err(|(_, message)| message)?;
-        counts[(s_min - 1) as usize] = (s_min, base.slg.num_edges());
-        let overlaps = base
-            .overlaps
-            .as_deref()
-            .ok_or_else(|| "Algorithm-2 artifact carries no overlaps".to_string())?;
-        // Parallel over s; each derive is pinned to one worker so its
-        // CSR build does not start a second level of threads.
-        let derived = with_compute_budget(state, || {
-            par_map_slice(rest, |&s| {
-                with_threads(1, || {
-                    let _derive = Span::enter("derive");
-                    derive_artifact(&base.slg, overlaps, s)
-                })
-            })
-        });
-        for (&s, artifact) in rest.iter().zip(derived) {
-            counts[(s - 1) as usize] = (s, artifact.slg.num_edges());
-            let (artifact, bytes) = artifact.sized();
-            state.cache.insert_if_current(
-                artifact_key(name, s, AlgoKind::Algo2),
-                generation,
-                artifact,
-                bytes,
-            );
-        }
-    }
-    debug_assert!(counts.iter().all(|&(_, c)| c != usize::MAX));
-    let result = MetricResult::Sweep(counts);
-    let bytes = result.approx_bytes();
-    Ok((result, bytes))
 }
 
 /// The per-dataset query endpoints answered from the cache tiers:
@@ -1585,7 +1529,7 @@ fn compute_metric(slg: &SLineGraph, metric: MetricKind) -> MetricResult {
                 algebraic_connectivity_converged: lambda2.converged,
             }
         }
-        MetricKind::Sweep { .. } => unreachable!("sweep computes via compute_sweep"),
+        MetricKind::Sweep { .. } => unreachable!("sweep counts in handle_sweep"),
     }
 }
 
@@ -2157,44 +2101,47 @@ mod tests {
     }
 
     #[test]
-    fn sweep_populates_and_reuses_the_artifact_tier() {
+    fn sweep_counts_from_a_resident_l1() {
         let server = test_server();
         let state = server.state();
-        // Prime s=2 through /slg so the sweep has something to reuse.
-        let (_, _, body) = dispatch_text(state, &request("/datasets/paper/slg?s=2"));
-        assert!(body.contains("\"cache\":\"miss\""));
-        let artifact_misses_before = state.cache.stats().misses;
-
+        let runs = |stage: &str| {
+            let spans = state.pipeline_spans.lock().unwrap();
+            spans
+                .get("paper")
+                .and_then(|stages| stages.get(stage))
+                .map_or(0, |agg| agg.count)
+        };
         let (_, status, cold) = dispatch_text(state, &request("/datasets/paper/sweep?max_s=4"));
         assert_eq!(status, 200);
         assert!(
             cold.contains("\"counts\":[[1,4],[2,3],[3,2],[4,0]]"),
             "{cold}"
         );
-        // The sweep inserted the three missing artifacts (s = 1, 3, 4)
-        // and reused the primed s=2 one.
-        assert_eq!(state.cache.stats().entries, 4);
-        assert_eq!(state.cache.stats().misses, artifact_misses_before + 3);
+        // The sweep counted L₁ once and left it as its only artifact.
+        assert_eq!(runs("counting"), 1);
+        assert_eq!(state.cache.stats().entries, 1);
+        assert!(state
+            .cache
+            .lookup(&artifact_key("paper", 1, AlgoKind::Algo2))
+            .is_some());
 
-        // Every swept s now serves /slg warm...
-        for s in 1..=4 {
-            let (_, status, body) =
-                dispatch_text(state, &request(&format!("/datasets/paper/slg?s={s}")));
-            assert_eq!(status, 200);
-            assert!(body.contains("\"cache\":\"hit\""), "s={s}: {body}");
-        }
-        // ...and the swept artifacts are identical to /slg-built ones.
-        let (_, _, body) = dispatch_text(state, &request("/datasets/paper/slg?s=3"));
+        // A later s=3 is derived from L₁, with no second count, and
+        // matches the direct count (Figure 2).
+        let (_, status, body) = dispatch_text(state, &request("/datasets/paper/slg?s=3"));
+        assert_eq!(status, 200);
+        assert!(body.contains("\"cache\":\"miss\""), "{body}");
         assert!(body.contains("\"edges\":[[0,2],[1,2]]"), "{body}");
+        assert_eq!((runs("counting"), runs("derive")), (1, 1));
 
         // A repeated sweep is a metric-tier hit with a byte-identical body.
         let (_, status, warm) = dispatch_text(state, &request("/datasets/paper/sweep?max_s=4"));
         assert_eq!(status, 200);
         assert_eq!(cold, warm, "sweep bodies diverged");
         assert!(state.metric_cache.stats().hits >= 1);
-        // A longer sweep reuses all four cached artifacts.
+        // A longer sweep reads the same resident L₁.
         let (_, _, body) = dispatch_text(state, &request("/datasets/paper/sweep?max_s=6"));
         assert!(body.contains("[4,0],[5,0],[6,0]"), "{body}");
+        assert_eq!(runs("counting"), 1);
     }
 
     #[test]

@@ -521,14 +521,19 @@ fn sweep_and_weighted_agree_with_library() {
         );
     }
 
-    // Weighted edges are (i, j, overlap) with overlap >= s, rendered from
-    // the sweep's L3 artifact, which carries its overlaps.
+    // Weighted edges are (i, j, overlap) with overlap >= s. The sweep
+    // left L1 resident, with its overlaps, so L3 is derived from it
+    // without a second count.
+    let counted = pipeline_count(addr, &name, "counting");
+    let derived = pipeline_count(addr, &name, "derive");
     let (status, body) = get(
         addr,
         &format!("/datasets/{name}/slg?s=3&weighted=1&limit=100000"),
     );
     assert_eq!(status, 200);
-    assert!(body.contains("\"cache\":\"hit\""), "{body}");
+    assert!(body.contains("\"cache\":\"miss\""), "{body}");
+    assert_eq!(pipeline_count(addr, &name, "counting"), counted);
+    assert_eq!(pipeline_count(addr, &name, "derive"), derived + 1);
     let (expected, _) = algo2_slinegraph_weighted(&h, 3, &Strategy::default());
     assert!(
         body.contains(&format!("\"num_edges\":{}", expected.len())),

@@ -7,7 +7,8 @@
 //! production source, compiled against the shims through the seam.
 //!
 //! The units explored:
-//! * (a) single-flight cache generation fencing + miss deduplication,
+//! * (a) single-flight cache generation fencing of a flight racing a
+//!   dataset replacement, and miss deduplication,
 //! * (c) `GaugeGuard` never-negative accounting,
 //! * (e) worker-pool shutdown and panic recovery,
 //! * the evented core's [`OutBuf`] worker→loop hand-off buffer:
@@ -35,32 +36,35 @@ fn key(dataset: &str) -> CacheKey {
 // -- (a) generation fencing -------------------------------------------
 
 #[test]
-fn insert_if_current_fences_concurrent_invalidation() {
+fn flight_fences_concurrent_invalidation() {
     explore(|| {
         let cache = Arc::new(SingleFlightCache::<CacheKey, u64>::new(1 << 20));
+        // The dataset's version: what a flight's compute reads, and what
+        // a replacement swaps before it invalidates the dataset. Relaxed
+        // is enough: a flight registered after the invalidation acquired
+        // the cache lock the invalidation released after the store.
+        let version = Arc::new(AtomicU64::new(0));
         let k = key("d");
-        // The generation is read BEFORE the invalidation races in —
-        // exactly the sweep path's window.
-        let gen0 = cache.generation("d");
-        let (c2, k2) = (cache.clone(), k.clone());
-        let inserter = thread::spawn(move || c2.insert_if_current(k2, gen0, 42, 8));
-        let c3 = cache.clone();
-        let invalidator = thread::spawn(move || c3.invalidate_dataset("d"));
-        let inserted = inserter.join().unwrap();
-        invalidator.join().unwrap();
-        // Whichever order the lock arbitration picked: an insert that
-        // beat the invalidation was evicted by it, and one that lost
-        // was rejected by the stale generation. A stale artifact must
-        // never survive the replacement.
-        assert!(
-            cache.lookup(&k).is_none(),
-            "stale artifact (inserted={inserted}) survived a dataset replacement"
-        );
-        assert_ne!(
-            cache.generation("d"),
-            gen0,
-            "invalidation did not bump the generation"
-        );
+        let (c2, v2, k2) = (cache.clone(), version.clone(), k.clone());
+        let flight = thread::spawn(move || {
+            c2.get_or_compute(&k2, || Ok((v2.load(Ordering::Relaxed), 8)))
+                .expect("compute never fails here");
+        });
+        let (c3, v3) = (cache.clone(), version.clone());
+        let replacer = thread::spawn(move || {
+            v3.store(1, Ordering::Relaxed);
+            c3.invalidate_dataset("d");
+        });
+        flight.join().unwrap();
+        replacer.join().unwrap();
+        // Whichever order the lock arbitration picked: a flight that
+        // landed before the invalidation was evicted by it, and one that
+        // started before it and landed after was refused by the stale
+        // generation. Only a flight started after it may stay resident,
+        // and that one read the new version.
+        if let Some(value) = cache.lookup(&k) {
+            assert_eq!(*value, 1, "stale value survived a dataset replacement");
+        }
     });
 }
 

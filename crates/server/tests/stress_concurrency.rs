@@ -33,36 +33,42 @@ fn key(dataset: &str, s: u32) -> CacheKey {
 }
 
 #[test]
-fn stress_insert_if_current_never_leaks_stale_artifacts() {
+fn stress_flight_never_leaks_stale_values() {
     let mut seed = 0x5afe_u64;
     for round in 0..80 {
-        let cache = Arc::new(SingleFlightCache::<CacheKey, u64>::new(1 << 20));
+        let cache = SingleFlightCache::<CacheKey, u64>::new(1 << 20);
+        // The dataset's version: what the flight's compute reads, and
+        // what the replacement swaps before it invalidates the dataset
+        // (ordered by the cache lock, as in the sched model).
+        let version = AtomicU64::new(0);
         let k = key("d", 1);
-        let gen0 = cache.generation("d");
         let (s1, s2) = (splitmix(&mut seed), splitmix(&mut seed));
         std::thread::scope(|scope| {
-            let (c, k2) = (cache.clone(), k.clone());
+            let (cache, version, k) = (&cache, &version, &k);
             let mut r = s1;
             scope.spawn(move || {
                 jitter(&mut r);
-                c.insert_if_current(k2, gen0, 42, 8);
+                cache
+                    .get_or_compute(k, || {
+                        let read = version.load(Ordering::Relaxed);
+                        jitter(&mut r);
+                        Ok((read, 8))
+                    })
+                    .unwrap();
             });
-            let c = cache.clone();
             let mut r = s2;
             scope.spawn(move || {
                 jitter(&mut r);
-                c.invalidate_dataset("d");
+                version.store(1, Ordering::Relaxed);
+                cache.invalidate_dataset("d");
             });
         });
-        assert!(
-            cache.lookup(&k).is_none(),
-            "round {round}: stale artifact survived a dataset replacement"
-        );
-        assert_ne!(
-            cache.generation("d"),
-            gen0,
-            "round {round}: generation not bumped"
-        );
+        if let Some(value) = cache.lookup(&k) {
+            assert_eq!(
+                *value, 1,
+                "round {round}: stale value survived a dataset replacement"
+            );
+        }
     }
 }
 

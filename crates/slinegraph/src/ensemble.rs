@@ -10,7 +10,8 @@
 //!
 //! The counting pass is Algorithm 2's wedge-counting kernel with an emit
 //! policy that keeps every `(i, j, count)` triple instead of filtering
-//! by `s`.
+//! by `s`. Edge counts alone ([`edge_counts_over_s`]) keep only each
+//! pair's count, and need no per-`s` edge list.
 
 use crate::algorithms::count_overlaps;
 use crate::stats::AlgoStats;
@@ -96,17 +97,58 @@ fn filter_pairs(triples: &[(u32, u32, u32)], s: u32) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Convenience: number of s-line-graph edges for each `s` in a range —
-/// the quantity plotted (log-log) in the paper's Figure 4.
+/// Number of s-line-graph edges for each `s` in `s_values`, in input
+/// order — the quantity plotted (log-log) in the paper's Figure 4. One
+/// counting pass at the smallest `s` keeps only each pair's overlap, and
+/// [`edge_counts_from_overlaps`] counts those reaching each `s`; no edge
+/// list is built.
+///
+/// # Panics
+/// Panics if `s_values` is empty or contains 0.
 pub fn edge_counts_over_s(
     h: &Hypergraph,
     s_values: &[u32],
     strategy: &Strategy,
 ) -> Vec<(u32, usize)> {
-    ensemble_slinegraphs(h, s_values, strategy)
-        .per_s
-        .into_iter()
-        .map(|(s, edges)| (s, edges.len()))
+    assert!(!s_values.is_empty(), "need at least one s value");
+    assert!(s_values.iter().all(|&s| s >= 1), "s must be at least 1");
+    let s_min = *s_values.iter().min().expect("s_values is non-empty");
+    let locals = count_overlaps(h, s_min, strategy, |_, _, n| (n >= s_min).then_some(n));
+    edge_counts_from_overlaps(
+        locals
+            .iter()
+            .flat_map(|(overlaps, _)| overlaps.iter().copied()),
+        s_values,
+    )
+}
+
+/// `(s, #{k : overlaps[k] ≥ s})` for each `s` in `s_values`, in input
+/// order: the edge count of every `L_s` read off the overlaps of one
+/// `L_{s0}` with `s0 ≤ s` (or of all counted pairs), in one pass. The
+/// pass builds a histogram of the overlaps capped at the largest `s`,
+/// grown only as far as the largest overlap seen, so a huge `s` costs
+/// no memory.
+pub fn edge_counts_from_overlaps(
+    overlaps: impl IntoIterator<Item = u32>,
+    s_values: &[u32],
+) -> Vec<(u32, usize)> {
+    let cap = s_values.iter().copied().max().unwrap_or(0);
+    // `at_least[b]` first holds #{n : min(n, cap) = b}; the suffix sum
+    // below turns it into #{n : n ≥ b} for every b ≤ cap.
+    let mut at_least: Vec<usize> = Vec::new();
+    for n in overlaps {
+        let b = n.min(cap) as usize;
+        if b >= at_least.len() {
+            at_least.resize(b + 1, 0);
+        }
+        at_least[b] += 1;
+    }
+    for b in (1..at_least.len()).rev() {
+        at_least[b - 1] += at_least[b];
+    }
+    s_values
+        .iter()
+        .map(|&s| (s, at_least.get(s as usize).copied().unwrap_or(0)))
         .collect()
 }
 
@@ -151,7 +193,23 @@ mod tests {
             for (s, edges) in &ens.per_s {
                 assert_eq!(edges, &algo2_slinegraph(&h, *s, &st).edges, "s={s}");
             }
+            let unsorted = [5u32, 1, 3, 2, 3];
+            for (s, count) in edge_counts_over_s(&h, &unsorted, &st) {
+                assert_eq!(count, algo2_slinegraph(&h, s, &st).edges.len(), "s={s}");
+            }
         }
+    }
+
+    #[test]
+    fn counts_from_overlaps_keep_input_order() {
+        let overlaps = [1u32, 3, 2, 3, 7];
+        assert_eq!(
+            edge_counts_from_overlaps(overlaps, &[3, 1, u32::MAX, 3, 8, 7]),
+            vec![(3, 3), (1, 5), (u32::MAX, 0), (3, 3), (8, 0), (7, 1)]
+        );
+        // Overlaps above the largest s land in its bucket.
+        assert_eq!(edge_counts_from_overlaps([9, 2], &[2]), vec![(2, 2)]);
+        assert_eq!(edge_counts_from_overlaps([], &[1, 2]), vec![(1, 0), (2, 0)]);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub use algorithms::{
     algo1_slinegraph, algo2_slinegraph, algo2_slinegraph_weighted, naive_slinegraph, OverlapResult,
 };
 pub use counter::CounterKind;
-pub use ensemble::{edge_counts_over_s, ensemble_slinegraphs, EnsembleResult};
+pub use ensemble::{
+    edge_counts_from_overlaps, edge_counts_over_s, ensemble_slinegraphs, EnsembleResult,
+};
 pub use framework::{run_pipeline, PipelineConfig, PipelineRun};
 pub use linegraph::SLineGraph;
 pub use partition::Partition;

@@ -11,6 +11,7 @@ use hyperline_graph::{
     graph::Graph,
     spectral::{self, Lambda2, SpectralOptions},
 };
+use hyperline_util::cancel;
 use hyperline_util::telemetry::Span;
 use hyperline_util::IdSqueezer;
 
@@ -41,7 +42,13 @@ pub struct SLineGraph {
 impl SLineGraph {
     /// Builds with ID squeezing (Stage 4): the graph's vertex set is the
     /// set of hyperedges incident to at least one s-line edge.
+    ///
+    /// Checks the ambient cancel token on entry and between the squeeze
+    /// and the CSR build: a request whose deadline fired after counting
+    /// unwinds here with [`hyperline_util::cancel::Cancelled`] instead
+    /// of finishing both stages.
     pub fn new_squeezed(s: u32, num_hyperedges: usize, edges: Vec<(u32, u32)>) -> Self {
+        cancel::checkpoint();
         // Bounded build: one presence pass over the hyperedge ID space
         // plus a dense rename table — no endpoint sort, no hashmap probes
         // in the bulk remap.
@@ -55,6 +62,7 @@ impl SLineGraph {
         // O(surviving IDs).
         squeezer.compact();
         drop(postprocess);
+        cancel::checkpoint();
         // Squeezing is strictly monotone, so a sorted upper-triangle edge
         // list (every pipeline output) stays sorted and `from_edges`
         // detects it with one cheap parallel scan, skipping the
@@ -246,6 +254,17 @@ mod tests {
     /// hyperedge 3 is isolated.
     fn paper_s2() -> Vec<(u32, u32)> {
         vec![(0, 1), (0, 2), (1, 2)]
+    }
+
+    #[test]
+    fn cancelled_token_unwinds_the_squeezed_build() {
+        let token = cancel::CancelToken::new();
+        token.cancel();
+        let built = std::panic::catch_unwind(|| {
+            cancel::with_token(Some(token), || SLineGraph::new_squeezed(2, 4, paper_s2()))
+        });
+        let payload = built.expect_err("a cancelled build must unwind");
+        assert!(payload.downcast_ref::<cancel::Cancelled>().is_some());
     }
 
     #[test]

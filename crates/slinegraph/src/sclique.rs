@@ -8,7 +8,7 @@
 //! graph is the classic clique expansion / 2-section.
 
 use crate::algorithms::{algo2_slinegraph, OverlapResult};
-use crate::ensemble::ensemble_slinegraphs;
+use crate::ensemble::edge_counts_over_s;
 use crate::strategy::Strategy;
 use hyperline_hypergraph::Hypergraph;
 
@@ -18,18 +18,14 @@ pub fn sclique_graph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapResu
     algo2_slinegraph(&h.dual(), s, strategy)
 }
 
-/// Edge counts of the s-clique graph for each `s` (Figure 4's y-axis),
-/// computed with one ensemble pass over the dual.
+/// Edge counts of the s-clique graph for each `s` (Figure 4's y-axis):
+/// [`edge_counts_over_s`] on the dual.
 pub fn sclique_edge_counts(
     h: &Hypergraph,
     s_values: &[u32],
     strategy: &Strategy,
 ) -> Vec<(u32, usize)> {
-    ensemble_slinegraphs(&h.dual(), s_values, strategy)
-        .per_s
-        .into_iter()
-        .map(|(s, edges)| (s, edges.len()))
-        .collect()
+    edge_counts_over_s(&h.dual(), s_values, strategy)
 }
 
 /// The clique expansion (2-section) edge list: the `s = 1` special case.

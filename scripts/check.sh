@@ -26,7 +26,11 @@
 #      (also --fast) — then the chaos suite
 #      by name (deadline/cancel, slow-client, fault-injection, and
 #      drain invariants — also --fast)
-#   8. the two smoke benchmarks (skipped with --fast) — server (cold vs
+#   8. the repo benchmark's output oracles (also --fast): 2 s runs of
+#      hlbench's cold, export and queries workloads, which exit 1 when
+#      any request failed or answered wrong (cold checks every session
+#      body, each sweep count included, against direct library calls)
+#   9. the two smoke benchmarks (skipped with --fast) — server (cold vs
 #      warm cache latencies + server-side p50/p99 from the /metrics
 #      histograms + streamed edge-list wire bytes, identity vs gzip +
 #      concurrent-connection tiers against the evented core, reported
@@ -95,6 +99,13 @@ cargo test -q -p hyperline-server --test chaos
 # without truncation, and seeded epoll/accept fault degradation.
 echo "==> evented core suite (readiness loop, backpressure, epoll faults)"
 cargo test -q -p hyperline-server --test chaos evented_
+
+# Short runs for correctness, not timing: the numbers they print are
+# too short-lived to compare against BENCHMARK.json's bounds.
+echo "==> hlbench output oracles (cold, export, queries; 2 s each)"
+for workload in cold export queries; do
+  bash hlbench/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 BENCH_LOG=""
 if [ "$FAST" = "1" ]; then
