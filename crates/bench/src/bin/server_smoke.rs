@@ -538,8 +538,8 @@ fn main() {
     let (status, small_body) = get(addr, &format!("/datasets/{wire_name}/slg?s=2&limit=10"));
     assert_eq!(status, 200);
     let small_micros = median_secs(2000, small_body.as_bytes()) * 1e6;
-    // Peak-RSS proxy of the response path: the streamed writer stack
-    // buffers one chunk frame plus the gzip stream's bounded state,
+    // Peak-RSS proxy of the response path: the response writer
+    // stages one chunk frame, plus the gzip stream's bounded state,
     // versus the body-sized String the buffered path would allocate.
     let streamed_buffer_bytes = http::CHUNK_BYTES + gzip::STREAM_BUFFER_BYTES;
     println!(

@@ -5,8 +5,8 @@
 //! (`Head → Body → Busy → Flushing → Head`): the loop reads
 //! nonblockingly and feeds the resumable head parser
 //! ([`crate::http::parse_head`]); a complete request is handed to the
-//! worker pool as a [`RequestJob`]. The worker runs the unchanged
-//! blocking response stack (`json → gzip → chunked`), but its sink is
+//! worker pool as a [`RequestJob`]. The worker renders its response
+//! (`json → gzip → ResponseWriter`), which hands each whole frame to
 //! an [`OutBuf`] — a bounded byte buffer guarded by the
 //! `hyperline_util::sync` seam — instead of the socket. The loop drains
 //! OutBufs into sockets as `EPOLLOUT` readiness allows, so a slow
@@ -349,9 +349,10 @@ impl Drop for RequestJob {
     }
 }
 
-/// The `impl Write` a worker streams its response through: each write
-/// is a bounded OutBuf append, with the flush completion posted on the
-/// empty→nonempty edge per the wake-protocol invariant.
+/// The `impl Write` a worker's [`crate::http::ResponseWriter`] hands
+/// its frames to: each write is a bounded OutBuf append, with the flush
+/// completion posted on the empty→nonempty edge per the wake-protocol
+/// invariant. This is the `socket.write` failpoint's seam.
 pub(crate) struct OutWriter {
     out: Arc<OutBuf>,
     completions: Arc<Completions>,
@@ -364,6 +365,12 @@ impl Write for OutWriter {
         if data.is_empty() {
             return Ok(0);
         }
+        let data = match failpoint::check("socket.write") {
+            Some(failpoint::Fault::Err) => return Err(failpoint::io_error("socket.write")),
+            // Injected short write: take half, so `write_all` retries.
+            Some(failpoint::Fault::Short) if data.len() > 1 => &data[..data.len() / 2],
+            _ => data,
+        };
         let (taken, was_empty) = self.out.write_bounded(data, self.timeout)?;
         if was_empty {
             self.completions.push(Completion::Flush(self.conn));

@@ -34,9 +34,8 @@
 //! one block, the hash tables are sized to it, so a 250-byte body fills
 //! 1 KiB of them.
 //!
-//! Layering: the response writer stacks `json → GzipWriter →
-//! ChunkedWriter → socket`, so compressed bytes are chunk-framed
-//! (`Transfer-Encoding` is applied over `Content-Encoding`).
+//! Layering: `json → GzipWriter → http::ResponseWriter`, so compressed
+//! bytes are chunk-framed (`Transfer-Encoding` over `Content-Encoding`).
 
 use std::io::{self, Write};
 use std::time::{Duration, Instant};

@@ -9,8 +9,8 @@
 //!
 //! Serialization goes through [`Json::write_into`], which renders the
 //! tree directly into any [`Write`] — a `Vec<u8>` for the buffered
-//! fast path ([`Json::render`]), or the server's chunked/gzip writer
-//! stack for streamed responses. The [`Json::Stream`] variant holds a
+//! fast path ([`Json::render`]), or the bare or gzip-wrapped response
+//! writer of a streamed response. The [`Json::Stream`] variant holds a
 //! [`StreamFragment`] that renders lazily at write time, so a response
 //! carrying a cached million-edge list never materializes a body-sized
 //! `String`: the tree holds an `Arc` to the artifact and the edges are
@@ -237,8 +237,8 @@ impl Json {
 
     /// Streams compact JSON text into `out`. This is *the* serializer:
     /// [`Json::render`] wraps it over a `Vec<u8>`, and streamed
-    /// responses hand it the chunked/gzip writer stack so rendering
-    /// never buffers more than the writers' fixed-size frames.
+    /// responses hand it their response writer (behind gzip when
+    /// negotiated), so rendering never buffers more than one frame.
     pub fn write_into(&self, out: &mut dyn Write) -> io::Result<()> {
         match self {
             Json::Null => out.write_all(b"null"),

@@ -42,12 +42,12 @@
 //!   `|E(L_s)|` off the overlaps of one resident `L₁`, and `POST /query`
 //!   answers a JSON batch of sub-queries in one round-trip under one
 //!   compute budget. Large bodies (edge lists, sweeps, components) **stream**
-//!   from the cached `Arc` artifacts through a chunked (and, when
-//!   negotiated, gzip) writer stack with O(1) buffering;
+//!   from the cached `Arc` artifacts (gzip-compressed when negotiated)
+//!   through one response writer with O(1) buffering;
 //! * [`http`] / [`json`] — the wire-format helpers: percent-decoding
-//!   request parser, chunked-transfer writer, `Accept-Encoding`
-//!   negotiation; JSON builder + strict parser + streaming serializer
-//!   ([`json::StreamFragment`]);
+//!   request parser, the response writer (head, chunk framing, deadline
+//!   check, byte count), `Accept-Encoding` negotiation; JSON builder,
+//!   strict parser and streaming serializer ([`json::StreamFragment`]);
 //! * [`gzip`] — a std-only streaming gzip encoder (LZ77 + per-block
 //!   dynamic/fixed/stored DEFLATE selection) and a strict decoder for
 //!   tests and benchmarks;

@@ -31,7 +31,7 @@ use crate::cache::{
 };
 use crate::event::{spawn_event_loop, RequestJob, RUN, STOP_AFTER_DRAIN, STOP_NOW};
 use crate::gzip::GzipWriter;
-use crate::http::{self, ChunkedWriter, Params, Request};
+use crate::http::{self, Params, Request};
 use crate::json::{Json, StreamFragment};
 use crate::metrics::{Readout, Route, ServerMetrics};
 use crate::registry::{DatasetRegistry, DatasetSource};
@@ -44,7 +44,6 @@ use hyperline_slinegraph::{
     spgemm_slinegraph, SLineGraph, Strategy,
 };
 use hyperline_util::cancel::{self, Deadline};
-use hyperline_util::failpoint;
 use hyperline_util::telemetry::{self, Span, StageAgg};
 use hyperline_util::FxHashMap;
 use std::io::Write;
@@ -565,70 +564,12 @@ impl ServerHandle {
     }
 }
 
-/// A pass-through [`Write`] counting bytes on their way to the socket
-/// (the access log's `bytes_out`, post-gzip and framing included).
-struct CountingStream<W> {
-    inner: W,
-    bytes: u64,
-}
-
-impl<W: Write> Write for CountingStream<W> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        match failpoint::check("socket.write") {
-            Some(failpoint::Fault::Err) => return Err(failpoint::io_error("socket.write")),
-            Some(failpoint::Fault::Short) if data.len() > 1 => {
-                // Injected short write: deliver half the buffer so the
-                // writer stack's retry/abort handling is exercised.
-                let written = self.inner.write(&data[..data.len() / 2])?;
-                self.bytes += written as u64;
-                return Ok(written);
-            }
-            _ => {}
-        }
-        let written = self.inner.write(data)?;
-        self.bytes += written as u64;
-        Ok(written)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Per-request writer guard: once the request's deadline expires, every
-/// further write fails instead of continuing to stream a body the
-/// client has already given up on. Streamed bodies abort mid-chunk —
-/// the missing terminal chunk makes the truncation visible to clients.
-struct DeadlineWriter<'a, W> {
-    inner: &'a mut W,
-    deadline: Option<&'a Deadline>,
-}
-
-impl<W: Write> Write for DeadlineWriter<'_, W> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        if self.deadline.is_some_and(|d| d.expired()) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                cancel::CANCELLED,
-            ));
-        }
-        self.inner.write(data)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Books a failed response write under the right counter: a deadline
-/// abort (unless the response was already a 504, which booked at
+/// abort (`deadline` is the writer's, absent on a 504, which booked at
 /// dispatch), a quiet client disconnect, or a stalled socket.
-fn classify_write_error(
-    state: &ServerState,
-    error: &std::io::Error,
-    deadline: Option<&Deadline>,
-    status: u16,
-) {
+fn classify_write_error(state: &ServerState, error: &std::io::Error, deadline: Option<&Deadline>) {
     use std::io::ErrorKind;
-    if status != 504 && deadline.is_some_and(|d| d.expired()) {
+    if deadline.is_some_and(Deadline::expired) {
         state
             .metrics
             .deadline_expired
@@ -658,11 +599,13 @@ fn classify_write_error(
 pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wait: Duration) {
     let request = &job.request;
     let keep_alive = request.keep_alive() && !state.is_draining();
+    let resolved = resolve_route(request);
+    let route = resolved.unwrap_or(Route::NotFound);
     let deadline = state
-        .deadline_budget(peek_route(request))
+        .deadline_budget(route)
         .map(|budget| job.start_deadline(budget));
     let started = Instant::now();
-    let (route, status, body, meta) = dispatch_full(state, request, deadline.as_ref());
+    let (status, body, meta) = dispatch_full(state, request, resolved, deadline.as_ref());
     // A request that outlived its deadline answers 504 even when the
     // handler finished: the result (cached for later requests) missed
     // *this* request's budget.
@@ -683,24 +626,12 @@ pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wa
     // edge list.
     let handled = started.elapsed();
     state.metrics.record(route, status, handled);
-    let mut writer = CountingStream {
-        inner: job.writer(),
-        bytes: 0,
-    };
-    let sent = {
-        let mut guarded = DeadlineWriter {
-            inner: &mut writer,
-            // The 504 *is* the deadline's verdict: writing it happens
-            // after expiry by definition, so it is exempt — refusing
-            // would turn every expiry into a silent close.
-            deadline: if status == 504 {
-                None
-            } else {
-                deadline.as_ref()
-            },
-        };
-        respond(state, &mut guarded, request, status, &body, keep_alive)
-    };
+    // The 504 *is* the deadline's verdict: writing it happens after
+    // expiry by definition, so it is exempt — refusing would turn every
+    // expiry into a silent close.
+    let write_deadline = deadline.as_ref().filter(|_| status != 504);
+    let mut out = http::ResponseWriter::new(job.writer(), write_deadline);
+    let sent = respond(state, &mut out, request, status, &body, keep_alive);
     if let Some(log) = &state.access_log {
         log.record(&AccessRecord {
             id: state.request_ids.next_id(),
@@ -708,7 +639,7 @@ pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wa
             dataset: meta.dataset,
             s: meta.s,
             status,
-            bytes_out: writer.bytes,
+            bytes_out: out.bytes(),
             gzip: http::accepts_gzip(request) && body.is_streaming() && request.method != "HEAD",
             cache: meta.cache,
             queue_wait_micros: queue_wait.as_micros() as u64,
@@ -719,7 +650,7 @@ pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wa
         // Buffered cleanly: the loop flushes, then keeps or closes.
         Ok(keep) => job.complete(keep, true),
         Err(error) => {
-            classify_write_error(state, &error, deadline.as_ref(), status);
+            classify_write_error(state, &error, write_deadline);
             // No flush: delivering a half-written body helps no one,
             // and the loop closing immediately cannot double-book the
             // stall the classification above already counted.
@@ -728,62 +659,51 @@ pub(crate) fn handle_request(state: &Arc<ServerState>, job: RequestJob, queue_wa
     }
 }
 
-/// Writes one response: HEAD gets headers only (with the exact
-/// `content-length` the GET body would have), small bodies keep the
-/// fixed-length fast path, and streamed bodies go out chunked
-/// (HTTP/1.1) or close-delimited (HTTP/1.0), gzip-compressed when the
-/// request negotiated it. Generic over the writer so tests run the full
-/// stack against byte buffers. Returns whether the connection can serve
-/// another request.
+/// Writes one response through `out`. Bodies without a stream fragment
+/// (preformatted text included) and every HEAD answer are fixed-length;
+/// streamed bodies go out chunked (HTTP/1.1) or close-delimited
+/// (HTTP/1.0), gzip-compressed when the request negotiated it. Generic
+/// over the sink so tests run it against byte buffers. Returns whether
+/// the connection can serve another request.
 fn respond<W: Write>(
     state: &ServerState,
-    writer: &mut W,
+    out: &mut http::ResponseWriter<'_, W>,
     request: &Request,
     status: u16,
     body: &Json,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
-    if let Json::Text {
-        content_type,
-        body: text,
-    } = body
-    {
-        // Preformatted non-JSON bodies (Prometheus exposition) carry
-        // their own content-type; they are always small, so they take
-        // the fixed-length path.
-        let length = text.len().to_string();
-        http::write_response_head(
-            writer,
+    let head_only = request.method == "HEAD";
+    if head_only || !body.is_streaming() {
+        // HEAD carries the length the GET body would have, counted for
+        // a streamed body without allocating it, and in identity coding
+        // (legal whatever Accept-Encoding says): a gzip length would
+        // cost a full compression pass with nothing to send.
+        let rendered;
+        let (content_type, text, length) = match body {
+            Json::Text { content_type, body } => (*content_type, body.as_str(), body.len()),
+            _ if body.is_streaming() => {
+                let mut counter = http::ResponseWriter::new(std::io::sink(), None);
+                body.write_into(&mut counter)?;
+                counter.finish()?;
+                (http::CONTENT_TYPE_JSON, "", counter.bytes() as usize)
+            }
+            _ => {
+                rendered = body.render();
+                (http::CONTENT_TYPE_JSON, rendered.as_str(), rendered.len())
+            }
+        };
+        let length = length.to_string();
+        out.head(
             status,
             content_type,
             keep_alive,
             &[("content-length", &length)],
         )?;
-        if request.method != "HEAD" {
-            writer.write_all(text.as_bytes())?;
+        if !head_only {
+            out.write_all(text.as_bytes())?;
         }
-        writer.flush()?;
-        return Ok(keep_alive);
-    }
-    if request.method == "HEAD" {
-        // Headers only — but with the true body length, which for a
-        // streamed body is counted without allocating it. HEAD always
-        // answers in identity coding (choosing identity per-request is
-        // legal regardless of Accept-Encoding): the exact uncompressed
-        // length is the useful metadata, and computing a gzip length
-        // would cost a full compression pass with nothing to send.
-        let length = if body.is_streaming() {
-            let mut counter = http::CountingWriter::default();
-            body.write_into(&mut counter)?;
-            counter.bytes()
-        } else {
-            body.render().len() as u64
-        };
-        http::write_head_response(writer, status, length, keep_alive)?;
-        return Ok(keep_alive);
-    }
-    if !body.is_streaming() {
-        http::write_response(writer, status, &body.render(), keep_alive)?;
+        out.finish()?;
         return Ok(keep_alive);
     }
     let gzip = http::accepts_gzip(request);
@@ -794,58 +714,30 @@ fn respond<W: Write>(
     if gzip {
         state.metrics.gzip_responses.fetch_add(1, Ordering::Relaxed);
     }
-    if request.http10 {
-        // HTTP/1.0 has no chunked framing: the body is delimited by
-        // closing the connection.
-        let extra: &[(&str, &str)] = if gzip {
-            &[("content-encoding", "gzip")]
-        } else {
-            &[]
-        };
-        http::write_response_head(writer, status, http::CONTENT_TYPE_JSON, false, extra)?;
-        if gzip {
-            write_gzip_body(state, body, &mut *writer)?;
-        } else {
-            // Fragments issue many small writes; batch them so a raw
-            // identity body is not one syscall per edge row.
-            let mut buffered = std::io::BufWriter::with_capacity(http::CHUNK_BYTES, &mut *writer);
-            body.write_into(&mut buffered)?;
-            buffered.flush()?;
-        }
-        writer.flush()?;
-        return Ok(false);
-    }
-    let extra: &[(&str, &str)] = if gzip {
-        &[
-            ("content-encoding", "gzip"),
-            ("transfer-encoding", "chunked"),
-        ]
-    } else {
-        &[("transfer-encoding", "chunked")]
+    // HTTP/1.0 has no chunked framing: the body is delimited by closing
+    // the connection. Transfer-Encoding applies over Content-Encoding:
+    // the gzip stream is what gets chunk-framed.
+    let keep_alive = keep_alive && !request.http10;
+    const GZIP: (&str, &str) = ("content-encoding", "gzip");
+    const CHUNKED: (&str, &str) = ("transfer-encoding", "chunked");
+    let extra: &[(&str, &str)] = match (gzip, request.http10) {
+        (true, false) => &[GZIP, CHUNKED],
+        (false, false) => &[CHUNKED],
+        (true, true) => &[GZIP],
+        (false, true) => &[],
     };
-    http::write_response_head(writer, status, http::CONTENT_TYPE_JSON, keep_alive, extra)?;
+    out.head(status, http::CONTENT_TYPE_JSON, keep_alive, extra)?;
     if gzip {
-        // Transfer-Encoding applies over Content-Encoding: the gzip
-        // stream is what gets chunk-framed.
-        write_gzip_body(state, body, ChunkedWriter::new(&mut *writer))?.finish()?;
+        let mut gz = GzipWriter::new(&mut *out);
+        body.write_into(&mut gz)?;
+        // The encoder's own time, not its writes into `out`.
+        let (_, spent) = gz.finish_timed()?;
+        state.metrics.gzip_encode.record_micros(spent);
     } else {
-        let mut chunked = ChunkedWriter::new(&mut *writer);
-        body.write_into(&mut chunked)?;
-        chunked.finish()?;
+        body.write_into(out)?;
     }
-    writer.flush()?;
+    out.finish()?;
     Ok(keep_alive)
-}
-
-/// Streams `body` gzip-compressed into `inner`, records the encoder's
-/// own time (not its writes into `inner`) in the `gzip_encode`
-/// histogram, and returns `inner` for the caller to finish.
-fn write_gzip_body<W: Write>(state: &ServerState, body: &Json, inner: W) -> std::io::Result<W> {
-    let mut gz = GzipWriter::new(inner);
-    body.write_into(&mut gz)?;
-    let (inner, spent) = gz.finish_timed()?;
-    state.metrics.gzip_encode.record_micros(spent);
-    Ok(inner)
 }
 
 /// What a handled request exposes to the access log beyond its route
@@ -867,108 +759,94 @@ fn outcome_name(outcome: CacheOutcome) -> &'static str {
     }
 }
 
-/// [`dispatch_full`] without the access-log metadata (tests).
+/// Routes a request the way [`handle_request`] does and dispatches it,
+/// without the access-log metadata (tests).
 #[cfg(test)]
 fn dispatch(state: &Arc<ServerState>, request: &Request) -> (Route, u16, Json) {
-    let (route, status, body, _) = dispatch_full(state, request, None);
-    (route, status, body)
+    let resolved = resolve_route(request);
+    let (status, body, _) = dispatch_full(state, request, resolved, None);
+    (resolved.unwrap_or(Route::NotFound), status, body)
 }
 
-/// The route a request will dispatch to, resolved *before* dispatch so
-/// its deadline can be armed first. Kept in lockstep with
-/// [`dispatch_full`]'s match; divergence degrades to the global default
-/// deadline, never to a wrong handler.
-fn peek_route(request: &Request) -> Route {
+/// The route a request addresses, resolved once, before dispatch, so
+/// its deadline can be armed first. Each path names its GET and its
+/// POST route; HEAD routes as GET. `Err` is the refusal: 405 when the
+/// path exists under another method, 404 when no route has it (and
+/// under any method but GET at `/`). An unknown `/datasets/{d}/{op}`
+/// resolves to [`Route::NotFound`] under GET; its handler answers 404.
+fn resolve_route(request: &Request) -> Result<Route, u16> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    let method = match request.method.as_str() {
-        "HEAD" => "GET",
-        m => m,
+    let method = request.method.as_str();
+    let (get, post) = match segments.as_slice() {
+        [] if !matches!(method, "GET" | "HEAD") => return Err(404),
+        [] => (Some(Route::Index), None),
+        ["healthz"] => (Some(Route::Health), None),
+        ["metrics"] => (Some(Route::Metrics), None),
+        ["debug", "pipeline"] => (Some(Route::DebugPipeline), None),
+        ["datasets"] => (Some(Route::ListDatasets), Some(Route::AddDataset)),
+        ["query"] => (None, Some(Route::Query)),
+        ["admin", "drain"] => (None, Some(Route::AdminDrain)),
+        ["datasets", _, op] => (Some(dataset_route(op).unwrap_or(Route::NotFound)), None),
+        _ => return Err(404),
     };
-    match (method, segments.as_slice()) {
-        ("GET", []) => Route::Index,
-        ("GET", ["healthz"]) => Route::Health,
-        ("GET", ["metrics"]) => Route::Metrics,
-        ("GET", ["debug", "pipeline"]) => Route::DebugPipeline,
-        ("GET", ["datasets"]) => Route::ListDatasets,
-        ("POST", ["datasets"]) => Route::AddDataset,
-        ("POST", ["query"]) => Route::Query,
-        ("POST", ["admin", "drain"]) => Route::AdminDrain,
-        ("GET", ["datasets", _, op]) => dataset_route(op).unwrap_or(Route::NotFound),
-        _ => Route::NotFound,
+    match method {
+        "GET" | "HEAD" => get,
+        "POST" => post,
+        _ => None,
     }
+    .ok_or(405)
 }
 
-/// Routes one request to its handler. Returns `(route, status, body,
-/// meta)` — the body as a [`Json`] tree so the response writer can
-/// choose the fixed-length or streaming path (and HEAD can count
-/// without sending), plus the metadata the access log records.
+/// Dispatches one request on its [`resolve_route`] result. Returns
+/// `(status, body, meta)` — the body as a [`Json`] tree so the response
+/// writer can choose the fixed-length or streaming path (and HEAD can
+/// count without sending), plus the metadata the access log records.
 /// `deadline` is the request's running deadline, if any; compute
 /// handlers thread it into the cache tiers so expired requests stop
 /// waiting (and cancel abandoned flights).
 fn dispatch_full(
     state: &Arc<ServerState>,
     request: &Request,
+    resolved: Result<Route, u16>,
     deadline: Option<&Deadline>,
-) -> (Route, u16, Json, RequestMeta) {
+) -> (u16, Json, RequestMeta) {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    // HEAD is GET without the body: route identically, suppress the
-    // body at write time (`respond`).
-    let method = match request.method.as_str() {
-        "HEAD" => "GET",
-        m => m,
-    };
     let mut meta = RequestMeta::default();
-    let outcome = match (method, segments.as_slice()) {
-        ("GET", []) => (Route::Index, handle_index()),
-        ("GET", ["healthz"]) => (Route::Health, Ok((200, handle_health(state)))),
-        ("GET", ["metrics"]) => {
-            let result = match request.query_param("format") {
-                None | Some("json") => Ok((200, Readout::new(state).json())),
-                Some("prometheus") => Ok((
-                    200,
-                    Json::Text {
-                        content_type: http::CONTENT_TYPE_PROMETHEUS,
-                        body: Readout::new(state).exposition(),
-                    },
-                )),
-                Some(other) => Err((400, format!("unknown metrics format {other:?}"))),
+    let result = match (resolved, segments.as_slice()) {
+        (Err(405), _) => {
+            // HEAD is GET without the body (suppressed in `respond`).
+            let method = match request.method.as_str() {
+                "HEAD" => "GET",
+                m => m,
             };
-            (Route::Metrics, result)
+            Err((405, format!("method {method} not allowed here")))
         }
-        ("GET", ["debug", "pipeline"]) => (
-            Route::DebugPipeline,
-            Ok((200, handle_debug_pipeline(state))),
-        ),
-        ("GET", ["datasets"]) => (Route::ListDatasets, Ok((200, handle_list(state)))),
-        ("POST", ["datasets"]) => (Route::AddDataset, handle_add_dataset(state, request)),
-        ("POST", ["query"]) => (Route::Query, handle_query(state, request, deadline)),
-        ("POST", ["admin", "drain"]) => (Route::AdminDrain, handle_admin_drain(state, request)),
-        ("GET", ["datasets", name, op]) => {
-            let (route, result) =
-                handle_dataset_op(state, &request.params(), name, op, &mut meta, deadline);
-            (route, result)
+        (Ok(Route::Index), _) => handle_index(),
+        (Ok(Route::Health), _) => Ok((200, handle_health(state))),
+        (Ok(Route::Metrics), _) => match request.query_param("format") {
+            None | Some("json") => Ok((200, Readout::new(state).json())),
+            Some("prometheus") => Ok((
+                200,
+                Json::Text {
+                    content_type: http::CONTENT_TYPE_PROMETHEUS,
+                    body: Readout::new(state).exposition(),
+                },
+            )),
+            Some(other) => Err((400, format!("unknown metrics format {other:?}"))),
+        },
+        (Ok(Route::DebugPipeline), _) => Ok((200, handle_debug_pipeline(state))),
+        (Ok(Route::ListDatasets), _) => Ok((200, handle_list(state))),
+        (Ok(Route::AddDataset), _) => handle_add_dataset(state, request),
+        (Ok(Route::Query), _) => handle_query(state, request, deadline),
+        (Ok(Route::AdminDrain), _) => handle_admin_drain(state, request),
+        (Ok(_), ["datasets", name, op]) => {
+            handle_dataset_op(state, &request.params(), name, op, &mut meta, deadline)
         }
-        // 405 only on paths that exist with another method; everything
-        // else (including two-segment /datasets/{d}) is 404.
-        (_, ["datasets"])
-        | (_, ["datasets", _, _])
-        | (_, ["metrics"])
-        | (_, ["healthz"])
-        | (_, ["debug", "pipeline"])
-        | (_, ["admin", "drain"])
-        | (_, ["query"]) => (
-            Route::NotFound,
-            Err((405, format!("method {method} not allowed here"))),
-        ),
-        _ => (
-            Route::NotFound,
-            Err((404, format!("no such endpoint {}", request.path))),
-        ),
+        _ => Err((404, format!("no such endpoint {}", request.path))),
     };
-    let (route, result) = outcome;
     match result {
-        Ok((status, body)) => (route, status, body, meta),
-        Err((status, message)) => (route, status, Json::obj().set("error", message), meta),
+        Ok((status, body)) => (status, body, meta),
+        Err((status, message)) => (status, Json::obj().set("error", message), meta),
     }
 }
 
@@ -1157,23 +1035,19 @@ fn handle_dataset_op(
     op: &str,
     meta: &mut RequestMeta,
     deadline: Option<&Deadline>,
-) -> (Route, HandlerResult) {
+) -> HandlerResult {
     let Some(route) = dataset_route(op) else {
-        return (
-            Route::NotFound,
-            Err((404, format!("no such dataset operation {op:?}"))),
-        );
+        return Err((404, format!("no such dataset operation {op:?}")));
     };
     meta.dataset = Some(name.to_string());
     let Some(dataset) = state.registry.get(name) else {
-        return (route, Err((404, format!("no dataset named {name:?}"))));
+        return Err((404, format!("no dataset named {name:?}")));
     };
-    let result = match route {
+    match route {
         Route::Stats => handle_stats(state, name, &dataset.hypergraph),
         Route::Sweep => handle_sweep(state, params, name, meta, deadline),
         _ => handle_cached_op(state, params, route, name, meta, deadline),
-    };
-    (route, result)
+    }
 }
 
 /// Maps a cache-tier failure to an HTTP one: a cancellation is the
@@ -1697,8 +1571,7 @@ fn answer_sub_query(
     // Batch items share the batch's access-log line; per-item metadata
     // is discarded.
     let mut meta = RequestMeta::default();
-    let (_route, result) =
-        handle_dataset_op(state, &Params(&pairs), dataset, op, &mut meta, deadline);
+    let result = handle_dataset_op(state, &Params(&pairs), dataset, op, &mut meta, deadline);
     // Tag the body with the op so batch callers can correlate items.
     result.map(|(status, body)| (status, body.set("op", op)))
 }
@@ -1797,28 +1670,64 @@ mod tests {
     fn dispatch_routes_and_statuses() {
         let server = test_server();
         let state = server.state();
-        let (route, status, _) = dispatch_text(state, &request("/"));
-        assert_eq!((route, status), (Route::Index, 200));
-        let (route, status, _) = dispatch_text(state, &request("/healthz"));
-        assert_eq!((route, status), (Route::Health, 200));
-        let (route, status, _) = dispatch_text(state, &request("/nope"));
-        assert_eq!((route, status), (Route::NotFound, 404));
-        // Two-segment dataset paths are unknown routes (404), not 405.
-        let (route, status, _) = dispatch_text(state, &request("/datasets/paper"));
-        assert_eq!((route, status), (Route::NotFound, 404));
-        // Wrong method on a real route is 405.
-        let mut req = request("/datasets/paper/slg");
-        req.method = "DELETE".to_string();
-        let (_, status, _) = dispatch_text(state, &req);
-        assert_eq!(status, 405);
-        let (route, status, _) = dispatch_text(state, &request("/datasets/missing/slg"));
-        assert_eq!((route, status), (Route::Slg, 404));
         let (_, status, body) = dispatch_text(state, &request("/datasets/paper/slg?s=2"));
         assert_eq!(status, 200);
         assert!(body.contains("\"cache\":\"miss\""), "{body}");
         let (_, status, body) = dispatch_text(state, &request("/datasets/paper/slg?s=2"));
         assert_eq!(status, 200);
         assert!(body.contains("\"cache\":\"hit\""), "{body}");
+
+        use Route::*;
+        const WRONG: (Route, u16) = (NotFound, 405);
+        const MISSING: (Route, u16) = (NotFound, 404);
+        // (route, status) under GET, HEAD, POST and DELETE. HEAD routes
+        // as GET; a path that exists under another method is 405 (but
+        // `/` is 404), any other is 404. `POST /admin/drain` comes last:
+        // it begins a drain.
+        let get = |route, status| [(route, status), (route, status), WRONG, WRONG];
+        let both = [
+            (ListDatasets, 200),
+            (ListDatasets, 200),
+            (AddDataset, 400),
+            WRONG,
+        ];
+        let table = [
+            ("/", [(Index, 200), (Index, 200), MISSING, MISSING]),
+            ("/healthz", get(Health, 200)),
+            ("/metrics", get(Metrics, 200)),
+            ("/metrics?format=xml", get(Metrics, 400)),
+            ("/debug/pipeline", get(DebugPipeline, 200)),
+            ("/datasets", both),
+            ("/datasets/paper/stats", get(Stats, 200)),
+            ("/datasets/paper/slg?s=3", get(Slg, 200)),
+            ("/datasets/paper/components?s=2", get(Components, 200)),
+            ("/datasets/paper/betweenness?s=2", get(Betweenness, 200)),
+            ("/datasets/paper/spectrum?s=2", get(Spectrum, 200)),
+            ("/datasets/paper/sweep", get(Sweep, 200)),
+            ("/datasets/missing/slg", get(Slg, 404)),
+            ("/datasets/paper/bogus", get(NotFound, 404)),
+            ("/datasets/paper", [MISSING; 4]),
+            ("/nope", [MISSING; 4]),
+            ("/query", [WRONG, WRONG, (Query, 400), WRONG]),
+            ("/admin/drain", [WRONG, WRONG, (AdminDrain, 202), WRONG]),
+        ];
+        for (path, expected) in table {
+            for (method, want) in ["GET", "HEAD", "POST", "DELETE"].into_iter().zip(expected) {
+                let mut req = request(path);
+                req.method = method.to_string();
+                let (route, status, body) = dispatch_text(state, &req);
+                assert_eq!((route, status), want, "{method} {path}: {body}");
+            }
+        }
+        // The refusals keep their bodies; HEAD is named GET in a 405.
+        let mut req = request("/query");
+        req.method = "HEAD".to_string();
+        let (_, _, body) = dispatch_text(state, &req);
+        assert_eq!(body, r#"{"error":"method GET not allowed here"}"#);
+        let (_, _, body) = dispatch_text(state, &request("/nope"));
+        assert_eq!(body, r#"{"error":"no such endpoint /nope"}"#);
+        let (_, _, body) = dispatch_text(state, &request("/datasets/paper/bogus"));
+        assert_eq!(body, r#"{"error":"no such dataset operation \"bogus\""}"#);
     }
 
     #[test]
@@ -2441,10 +2350,10 @@ mod tests {
             assert!(text.contains(family), "missing {family:?} in:\n{text}");
         }
         // The response writer serves the text verbatim with its own
-        // content-type, for GET and HEAD alike.
-        let mut wire = Vec::new();
-        assert!(respond(state, &mut wire, &req, status, &body, true).unwrap());
-        let (head, raw_body) = split_response(&wire);
+        // content-type, for GET and HEAD alike, in one write.
+        let (keep, writes) = respond_writes(state, &req, status, &body, true);
+        assert_eq!((keep, writes.len()), (true, 1));
+        let (head, raw_body) = split_response(&writes[0]);
         assert!(
             head.contains("content-type: text/plain; version=0.0.4"),
             "{head}"
@@ -2453,9 +2362,9 @@ mod tests {
         let mut head_req = request("/metrics?format=prometheus");
         head_req.method = "HEAD".to_string();
         let (_, status, head_body) = dispatch(state, &head_req);
-        let mut wire = Vec::new();
-        assert!(respond(state, &mut wire, &head_req, status, &head_body, true).unwrap());
-        let (head, raw_body) = split_response(&wire);
+        let (keep, writes) = respond_writes(state, &head_req, status, &head_body, true);
+        assert_eq!((keep, writes.len()), (true, 1));
+        let (head, raw_body) = split_response(&writes[0]);
         assert!(raw_body.is_empty(), "HEAD must not send the exposition");
         assert!(head.contains("content-length:"), "{head}");
     }
@@ -2646,6 +2555,23 @@ mod tests {
         assert_eq!(state.cache.stats().entries, 2);
     }
 
+    /// Writes one response through a deadline-free
+    /// [`http::ResponseWriter`]; returns whether the connection stays
+    /// open and every write its sink received (all counted in `bytes`).
+    fn respond_writes(
+        state: &ServerState,
+        request: &Request,
+        status: u16,
+        body: &Json,
+        keep_alive: bool,
+    ) -> (bool, Vec<Vec<u8>>) {
+        let mut sink = http::RecordedWrites::default();
+        let mut out = http::ResponseWriter::new(&mut sink, None);
+        let keep = respond(state, &mut out, request, status, body, keep_alive).unwrap();
+        assert_eq!(out.bytes(), sink.0.concat().len() as u64);
+        (keep, sink.0)
+    }
+
     /// Splits a raw response into `(head, body bytes)`.
     fn split_response(wire: &[u8]) -> (String, Vec<u8>) {
         let boundary = wire
@@ -2674,10 +2600,10 @@ mod tests {
         let buffered = body.render();
 
         // Identity: chunked framing, no content-length, de-chunks to
-        // exactly the buffered rendering.
-        let mut wire = Vec::new();
-        assert!(respond(state, &mut wire, &req, status, &body, true).unwrap());
-        let (head, raw_body) = split_response(&wire);
+        // exactly the buffered rendering. One frame is one write.
+        let (keep, writes) = respond_writes(state, &req, status, &body, true);
+        assert_eq!((keep, writes.len()), (true, 1));
+        let (head, raw_body) = split_response(&writes[0]);
         assert!(head.contains("transfer-encoding: chunked"), "{head}");
         assert!(!head.contains("content-length"), "{head}");
         assert!(head.contains("connection: keep-alive"), "{head}");
@@ -2689,9 +2615,9 @@ mod tests {
         gz_req
             .headers
             .push(("accept-encoding".to_string(), "gzip".to_string()));
-        let mut wire = Vec::new();
-        assert!(respond(state, &mut wire, &gz_req, status, &body, true).unwrap());
-        let (head, raw_body) = split_response(&wire);
+        let (keep, writes) = respond_writes(state, &gz_req, status, &body, true);
+        assert_eq!((keep, writes.len()), (true, 1));
+        let (head, raw_body) = split_response(&writes[0]);
         assert!(head.contains("content-encoding: gzip"), "{head}");
         assert!(head.contains("transfer-encoding: chunked"), "{head}");
         let decoded = crate::gzip::decode(&dechunk(&raw_body)).expect("valid gzip body");
@@ -2702,14 +2628,51 @@ mod tests {
         refuse
             .headers
             .push(("accept-encoding".to_string(), "gzip;q=0".to_string()));
-        let mut wire = Vec::new();
-        respond(state, &mut wire, &refuse, status, &body, true).unwrap();
-        let (head, _) = split_response(&wire);
+        let (_, writes) = respond_writes(state, &refuse, status, &body, true);
+        let (head, _) = split_response(&writes[0]);
         assert!(!head.contains("content-encoding"), "{head}");
+
+        // HTTP/1.0 has no chunked framing: the raw body ends at the
+        // close, whatever keep-alive the caller offered.
+        let mut http10 = req.clone();
+        http10.http10 = true;
+        let (keep, writes) = respond_writes(state, &http10, status, &body, true);
+        let (head, raw_body) = split_response(&writes.concat());
+        assert!(!keep && head.contains("connection: close"), "{head}");
+        assert!(!head.contains("transfer-encoding"), "{head}");
+        assert_eq!(raw_body, buffered.as_bytes(), "body delimited by close");
 
         let transported = state.metrics.streamed_responses.load(Ordering::Relaxed);
         let gzipped = state.metrics.gzip_responses.load(Ordering::Relaxed);
-        assert_eq!((transported, gzipped), (3, 1));
+        assert_eq!((transported, gzipped), (4, 1));
+    }
+
+    /// A streamed identity body of more than two frames reaches the sink
+    /// one write per frame: every frame but the last carries exactly
+    /// `CHUNK_BYTES`, and the last one's write also carries the terminal
+    /// chunk.
+    #[test]
+    fn streamed_frames_reach_the_sink_one_write_each() {
+        let server = test_server();
+        // A star: every pair of its 120 edges meets in vertex 0.
+        let lists: Vec<Vec<u32>> = (1..=120u32).map(|v| vec![0, v]).collect();
+        let star = Hypergraph::from_edge_lists(&lists, 121);
+        server
+            .registry()
+            .insert("star", star, DatasetSource::Inline);
+        let req = request("/datasets/star/slg?s=1");
+        let (_, status, body) = dispatch(server.state(), &req);
+        let rendered = body.render().into_bytes();
+        let mut frames: Vec<Vec<u8>> = rendered
+            .chunks(http::CHUNK_BYTES)
+            .map(|p| [format!("{:x}\r\n", p.len()).as_bytes(), p, b"\r\n"].concat())
+            .collect();
+        assert!(frames.len() > 2 && frames.last().unwrap().len() < http::CHUNK_BYTES);
+        frames.last_mut().unwrap().extend_from_slice(b"0\r\n\r\n");
+        let (_, writes) = respond_writes(server.state(), &req, status, &body, true);
+        let (head, first) = split_response(&writes[0]);
+        assert!(head.contains("transfer-encoding: chunked"), "{head}");
+        assert_eq!([vec![first], writes[1..].to_vec()].concat(), frames);
     }
 
     #[test]
@@ -2733,12 +2696,13 @@ mod tests {
             head_req.method = "HEAD".to_string();
             let (_, head_status, head_body) = dispatch(state, &head_req);
             assert_eq!(head_status, 200, "HEAD routes like GET: {path}");
-            let mut wire = Vec::new();
-            assert!(
-                respond(state, &mut wire, &head_req, head_status, &head_body, true).unwrap(),
-                "HEAD keeps the connection alive"
-            );
-            let (head, raw_body) = split_response(&wire);
+            let (keep, writes) = respond_writes(state, &head_req, head_status, &head_body, true);
+            let (_, get_writes) = respond_writes(state, &get, 200, &warm_body, true);
+            // HEAD keeps the connection alive; HEAD and the small GET
+            // alike reach the sink in one write.
+            let shape = (keep, writes.len(), get_writes.len());
+            assert_eq!(shape, (true, 1, 1), "{path}");
+            let (head, raw_body) = split_response(&writes[0]);
             assert!(raw_body.is_empty(), "{path}: HEAD must not send a body");
             assert!(
                 head.contains(&format!("content-length: {expected_len}")),
@@ -2754,25 +2718,6 @@ mod tests {
     }
 
     #[test]
-    fn http10_streams_close_delimited() {
-        let server = test_server();
-        let state = server.state();
-        let mut req = request("/datasets/paper/slg?s=2");
-        req.http10 = true;
-        let (_, status, body) = dispatch(state, &req);
-        let buffered = body.render();
-        let mut wire = Vec::new();
-        assert!(
-            !respond(state, &mut wire, &req, status, &body, false).unwrap(),
-            "HTTP/1.0 streamed responses close the connection"
-        );
-        let (head, raw_body) = split_response(&wire);
-        assert!(!head.contains("transfer-encoding"), "{head}");
-        assert!(head.contains("connection: close"), "{head}");
-        assert_eq!(raw_body, buffered.as_bytes(), "body delimited by close");
-    }
-
-    #[test]
     fn batch_responses_stream_when_items_stream() {
         let server = test_server();
         let state = server.state();
@@ -2785,8 +2730,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.is_streaming(), "batch inherits streamed items");
         let buffered = body.render();
-        let mut wire = Vec::new();
-        respond(state, &mut wire, &req, status, &body, true).unwrap();
+        let wire = respond_writes(state, &req, status, &body, true).1.concat();
         let (_, raw_body) = split_response(&wire);
         assert_eq!(dechunk(&raw_body), buffered.as_bytes());
     }

@@ -739,3 +739,85 @@ fn access_log_and_pipeline_observability_end_to_end() {
     handle.shutdown();
     std::fs::remove_file(&log_path).ok();
 }
+
+/// Sends one raw request on a fresh connection and returns every byte
+/// the server sent before closing.
+fn exchange(addr: SocketAddr, request: &str) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    raw
+}
+
+/// The access log's `bytes_out` is the exact count of bytes the client
+/// received — head, framing and (gzip-compressed) body — on every
+/// response shape: fixed-length, preformatted text, chunked identity
+/// and gzip bodies spanning several frames, HEAD, and an HTTP/1.0
+/// close-delimited stream.
+#[test]
+fn access_log_bytes_out_equals_bytes_on_the_wire() {
+    use hyperline_server::json::Json;
+
+    let log_path =
+        std::env::temp_dir().join(format!("hyperline-bytes-out-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&log_path).ok();
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        cache_mb: 64,
+        access_log: Some(log_path.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let name = server
+        .registry()
+        .load_profile("lesMis", 42, None)
+        .expect("load profile");
+    let handle = server.spawn();
+    let addr = handle.addr();
+
+    let slg = format!("/datasets/{name}/slg?s=1");
+    let close = "host: t\r\nconnection: close\r\n";
+    let requests = [
+        format!("GET /healthz HTTP/1.1\r\n{close}\r\n"),
+        format!("GET /metrics?format=prometheus HTTP/1.1\r\n{close}\r\n"),
+        format!("GET {slg} HTTP/1.1\r\n{close}\r\n"),
+        format!("GET {slg} HTTP/1.1\r\naccept-encoding: gzip\r\n{close}\r\n"),
+        format!("HEAD {slg} HTTP/1.1\r\n{close}\r\n"),
+        format!("GET {slg} HTTP/1.0\r\nhost: t\r\n\r\n"),
+    ];
+    let received: Vec<Vec<u8>> = requests.iter().map(|r| exchange(addr, r)).collect();
+    for (request, raw) in requests.iter().zip(&received) {
+        let text = String::from_utf8_lossy(raw);
+        assert!(
+            text.starts_with("HTTP/1.1 200"),
+            "{request:?}: {}",
+            &text[..text.len().min(200)]
+        );
+    }
+    let (head, body) = String::from_utf8_lossy(&received[2])
+        .split_once("\r\n\r\n")
+        .map(|(h, b)| (h.to_string(), b.len()))
+        .expect("head/body boundary");
+    assert!(head.contains("transfer-encoding: chunked"), "{head}");
+    let chunk = hyperline_server::http::CHUNK_BYTES;
+    assert!(body > 2 * chunk, "identity body spans 3+ frames: {body}");
+
+    handle.state().access_log().expect("log enabled").flush();
+    let text = std::fs::read_to_string(&log_path).expect("log file exists");
+    let logged: Vec<i128> = text
+        .lines()
+        .map(|l| {
+            let record = Json::parse(l).expect("log line parses");
+            record.get("bytes_out").and_then(Json::as_int).unwrap()
+        })
+        .collect();
+    let wire: Vec<i128> = received.iter().map(|raw| raw.len() as i128).collect();
+    assert_eq!(logged, wire, "bytes_out per request vs bytes received");
+    handle.shutdown();
+    std::fs::remove_file(&log_path).ok();
+}

@@ -87,6 +87,9 @@ fn merge_worker_outputs<T: Ord + Clone + Send + Sync>(
         per_worker.push(stats);
     }
     par_for_each_mut(&mut runs, |r| r.sort_unstable());
+    // A deadline that fired during counting or the sort stops here,
+    // before the k-way merge.
+    hyperline_util::cancel::checkpoint();
     let edges = merge_sorted_runs(runs);
     (
         edges,
@@ -338,6 +341,22 @@ mod tests {
             4 => vec![],
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn cancelled_token_unwinds_the_merge() {
+        use hyperline_util::cancel;
+        let token = cancel::CancelToken::new();
+        token.cancel();
+        let runs = vec![
+            (vec![(2u32, 3u32), (0, 1)], WorkerStats::default()),
+            (vec![(1, 2)], WorkerStats::default()),
+        ];
+        let merged = std::panic::catch_unwind(|| {
+            cancel::with_token(Some(token), || merge_worker_outputs(runs))
+        });
+        let payload = merged.expect_err("a cancelled merge must unwind");
+        assert!(payload.downcast_ref::<cancel::Cancelled>().is_some());
     }
 
     #[test]

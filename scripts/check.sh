@@ -42,8 +42,11 @@
 #      to accept a deliberate /metrics change). Kernel runs are
 #      appended to BENCH_history.jsonl for the per-commit trajectory.
 # Trailing summary lines report the analyzer's per-rule finding counts
-# and wall time, which BENCH_*.json snapshots changed, and whether any
-# warn-only regression fired.
+# and wall time, the `wc -l` totals of crates/server/src/*.rs and
+# crates/slinegraph/src/*.rs (unit tests included) and their ratio — the
+# size of the server against the paper's algorithms, which ROADMAP's
+# design aim asks to shrink (also --fast) — which BENCH_*.json snapshots
+# changed, and whether any warn-only regression fired.
 # Usage: scripts/check.sh [--fast]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,6 +126,10 @@ fi
 
 # ---- trailing summary ------------------------------------------------
 [ -n "$LINT_SUMMARY" ] && echo "summary: ${LINT_SUMMARY}"
+server_lines="$(cat crates/server/src/*.rs | wc -l)"
+paper_lines="$(cat crates/slinegraph/src/*.rs | wc -l)"
+ratio="$(awk -v s="$server_lines" -v p="$paper_lines" 'BEGIN { printf "%.2f", s / p }')"
+echo "summary: lines crates/server/src ${server_lines}, crates/slinegraph/src ${paper_lines}, ratio ${ratio}"
 if [ "$FAST" = "1" ]; then
   echo "summary: benches skipped (--fast); BENCH_*.json untouched"
 else
